@@ -31,13 +31,13 @@ from .dynamics import (
     trajectory_rows,
 )
 from .fields import FieldSpec
-from .hilbert import atomic_ground_state, build_basis, control_excited_state
+from .hilbert import build_basis
 from .model import SystemParams, build_h0, build_hamiltonian, h0_diagonal
 from .perturb import closed_form_corrections, validity_parameter, validity_grade
 from .protocol import (
     NoSubradiantSectorError,
     ProtocolOptions,
-    plan,
+    initial_state,
     run,
 )
 
@@ -46,6 +46,13 @@ TWO_PI = 2.0 * math.pi
 
 class ConfigError(ValueError):
     pass
+
+
+def _integer(value, key: str) -> int:
+    """An int or integral float from a config; booleans and fractions refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
         try:
-            n_atoms = int(obj["n_atoms"])
+            n_atoms = _integer(obj["n_atoms"], "n_atoms")
             g_hz = float(obj["g_over_2pi_hz"])
         except KeyError as exc:
             raise ConfigError(f"config is missing required key {exc}") from exc
@@ -89,17 +96,25 @@ class RunConfig:
             if oa <= 0 or oc <= 0:
                 raise ConfigError("omega_*_over_2pi_hz must be positive")
 
-        field = FieldSpec.from_json(obj.get("field", {"kind": "fock", "n": 0}))
+        field_obj = obj.get("field", {"kind": "fock", "n": 0})
+        if field_obj.get("kind") == "fock" and "n" in field_obj:
+            field_obj = dict(field_obj, n=_integer(field_obj["n"], "field.n"))
+        field = FieldSpec.from_json(field_obj)
 
         opt = obj.get("options", {})
         seed = obj.get("seed")
+        seed = seed if seed is None else _integer(seed, "seed")
+        n_max = opt.get("n_max")
+        pt_times = _integer(opt.get("pt_times", 101), "options.pt_times")
+        if pt_times < 1:
+            raise ConfigError(f"options.pt_times must be at least 1, got {pt_times}")
         options = ProtocolOptions(
-            n_max=opt.get("n_max"),
-            tm_branch=int(opt.get("tm_branch", 0)),
+            n_max=n_max if n_max is None else _integer(n_max, "options.n_max"),
+            tm_branch=_integer(opt.get("tm_branch", 0), "options.tm_branch"),
             phi_override=opt.get("phi_override"),
             excite_control=bool(opt.get("excite_control", True)),
-            pt_times=int(opt.get("pt_times", 101)),
-            seed=seed if seed is None else int(seed),
+            pt_times=pt_times,
+            seed=seed,
         )
         return cls(
             n_atoms=n_atoms,
@@ -110,7 +125,7 @@ class RunConfig:
             field=field,
             options=options,
             allow_invalid=bool(obj.get("allow_invalid", False)),
-            seed=seed if seed is None else int(seed),
+            seed=seed,
             raw=obj,
         )
 
@@ -135,8 +150,8 @@ def _load_config(path: str) -> RunConfig:
     return RunConfig.from_json(obj)
 
 
-def _trajectory_state(config: RunConfig, params: SystemParams):
-    """Initial state and occupied blocks for trajectory-style commands.
+def _trajectory(config: RunConfig, params: SystemParams, times: np.ndarray) -> list[dict]:
+    """Trajectory rows from the initial state that protocol.run prepares.
 
     Thermal mixtures are represented by their weight-dominant Fock
     component (a trajectory is a pure-state object).
@@ -145,17 +160,9 @@ def _trajectory_state(config: RunConfig, params: SystemParams):
     if field.is_mixture:
         weight, n = max(field.components(), key=lambda wn: wn[0])
         field = FieldSpec.fock(n)
-    n_max = config.options.n_max
-    if n_max is None:
-        n_max = field.required_n_max(params.n_atoms)
-    basis = build_basis(params.n_atoms, n_max)
-    amps = field.amplitudes(n_max)
-    if config.options.excite_control:
-        state = control_excited_state(basis, amps)
-    else:
-        state = atomic_ground_state(basis, amps)
-    state = state.pruned(config.options.block_weight_cutoff)
-    return basis, state
+    state = initial_state(params, field, config.options)
+    prop = compile_propagator(params, state.basis, block_ids=sorted(state.block_amps))
+    return trajectory_rows(prop, state, times)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +187,8 @@ def cmd_protocol(config: RunConfig, out_dir: Path, trajectory_points: int = 400)
         {"config": config.raw, "report": report.to_dict()}, out_dir / "report.json"
     )
 
-    basis, state = _trajectory_state(config, params)
-    prop = compile_propagator(params, basis, block_ids=sorted(state.block_amps))
-    times = default_trajectory_times(params, trajectory_points)
-    serialize.write_csv(
-        out_dir / "trajectory.csv",
-        TRAJECTORY_COLUMNS,
-        trajectory_rows(prop, state, times),
-    )
+    rows = _trajectory(config, params, default_trajectory_times(params, trajectory_points))
+    serialize.write_csv(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, rows)
     print(
         f"t_m = {report.t_m_microseconds:.6g} us, "
         f"fidelity = {report.fidelity_subradiant:.6f}, "
@@ -356,25 +357,20 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
     levels = [(e0 + de1, "delta_e1")]
     if params.n_atoms >= 2:
         levels.extend([(e0 + dei, "delta_ei")] * (params.n_atoms - 1))
-    free = sorted(set(float(x) for x in h0_diagonal(params, basis, sector_n)))
-    for val in free:
+    diag = h0_diagonal(params, basis, sector_n)
+    for val in sorted(set(diag.tolist())):
         if abs(val - e0) > 1e-9 * max(abs(e0), abs(params.delta)):
             k = 1 + round((e0 - val) / params.delta)  # E(k) = E0 - (k-1) delta
-            count = sum(
-                1 for x in h0_diagonal(params, basis, sector_n) if abs(x - val) < 1e-6
-            )
+            count = int(np.count_nonzero(np.abs(diag - val) < 1e-6))
             levels.extend([(val, f"free_k{k}")] * count)
     levels.sort(key=lambda lv: lv[0])
 
     scale = 2.0 * abs(params.alpha)
+    errors = np.abs(eigenvalues[:, None] - np.array([lv for lv, _ in levels]))
     rows = []
-    taken = [False] * len(levels)
     for i, ev in enumerate(eigenvalues):
-        best, best_err = None, math.inf
-        for j, (lv, _) in enumerate(levels):
-            if not taken[j] and abs(ev - lv) < best_err:
-                best, best_err = j, abs(ev - lv)
-        taken[best] = True
+        best = int(np.argmin(errors[i]))  # first minimum among untaken levels
+        errors[:, best] = math.inf
         lv, label = levels[best]
         rows.append(
             {
@@ -410,9 +406,7 @@ def cmd_evolve(config: RunConfig, out_dir: Path) -> int:
     else:
         times = np.linspace(0.0, float(t_final), points)
 
-    basis, state = _trajectory_state(config, params)
-    prop = compile_propagator(params, basis, block_ids=sorted(state.block_amps))
-    rows = trajectory_rows(prop, state, times)
+    rows = _trajectory(config, params, times)
     out_dir.mkdir(parents=True, exist_ok=True)
     serialize.write_csv(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, rows)
     print(f"wrote {len(rows)} trajectory samples")

@@ -1,23 +1,23 @@
 """Exact unitary propagation via per-block Hermitian eigendecomposition.
 
-One eigendecomposition per excitation block turns time evolution into a
-single matrix application per requested time, which is what the protocol
-needs (one long evolution, not a trajectory integrator).
+One eigendecomposition per excitation block turns time evolution into
+matrix products: a whole time grid is evaluated block by block as
+V (exp(-i w t') * (V' psi)), a fixed number of times per product.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .hilbert import (
+    NORM_TOL,
     AtomFieldBasis,
     PureState,
-    subradiant_atomic_vectors,
+    batched_vdot,
     symmetric_atomic_vector,
-    atom_code,
 )
 from .model import (
     BlockDiagonalOperator,
@@ -29,6 +29,7 @@ from .model import (
 )
 
 RECONSTRUCTION_TOL = 1e-10
+TIME_CHUNK = 64  # times per product; a chunk holds this many copies of the state
 
 
 class EigensolverError(RuntimeError):
@@ -55,11 +56,6 @@ class Propagator:
     basis: AtomFieldBasis
     eigenvalues: dict[int, np.ndarray] = field(default_factory=dict)
     eigenvectors: dict[int, np.ndarray] = field(default_factory=dict)
-    compile_seconds: float = 0.0
-
-    @property
-    def compiled_blocks(self) -> list[int]:
-        return sorted(self.eigenvalues)
 
 
 def compile_propagator(
@@ -71,7 +67,6 @@ def compile_propagator(
     """Diagonalize H block by block with a deterministic phase convention."""
     wanted = basis.block_ids if block_ids is None else sorted(block_ids)
     h = hamiltonian if hamiltonian is not None else build_hamiltonian(params, basis, wanted)
-    t0 = time.perf_counter()
     vals: dict[int, np.ndarray] = {}
     vecs: dict[int, np.ndarray] = {}
     for m in wanted:
@@ -90,13 +85,39 @@ def compile_propagator(
             )
         vals[m] = w
         vecs[m] = v
-    return Propagator(
-        params=params,
-        basis=basis,
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        compile_seconds=time.perf_counter() - t0,
-    )
+    return Propagator(params=params, basis=basis, eigenvalues=vals, eigenvectors=vecs)
+
+
+def _norms(block_amps: dict[int, np.ndarray]) -> np.ndarray:
+    return np.sqrt(sum(batched_vdot(v, v).real for v in block_amps.values()))
+
+
+def evolve_grid(
+    prop: Propagator, state: PureState, times
+) -> Iterator[dict[int, np.ndarray]]:
+    """Propagate |psi> by exp(-iHt) to every time of a grid.
+
+    Yields one dict per chunk of at most TIME_CHUNK consecutive times,
+    mapping each block m to amplitudes of shape (chunk length, dim_m).
+    Every evolved state is checked to stay normalized.
+    """
+    coeffs = {}
+    for m, v in state.block_amps.items():
+        if m not in prop.eigenvalues:
+            raise KeyError(f"propagator not compiled for excitation block {m}")
+        coeffs[m] = prop.eigenvectors[m].conj().T @ v
+    times = np.asarray(times, dtype=float)
+    for start in range(0, len(times), TIME_CHUNK):
+        t = times[start : start + TIME_CHUNK, None]
+        out = {
+            m: (np.exp(-1j * prop.eigenvalues[m] * t) * c) @ prop.eigenvectors[m].T
+            for m, c in coeffs.items()
+        }
+        norms = _norms(out)
+        off = np.abs(norms - 1.0) > NORM_TOL
+        if np.any(off):
+            raise ValueError(f"state norm {norms[off][0]} deviates from 1 beyond {NORM_TOL}")
+        yield out
 
 
 def evolve(
@@ -111,19 +132,12 @@ def evolve(
     afterwards, which strips the fast rotation and leaves only the slow
     interaction-induced motion.
     """
-    out: dict[int, np.ndarray] = {}
-    for m, v in state.block_amps.items():
-        if m not in prop.eigenvalues:
-            raise KeyError(f"propagator not compiled for excitation block {m}")
-        vec = prop.eigenvectors[m]
-        phases = np.exp(-1j * prop.eigenvalues[m] * t)
-        w = vec @ (phases * (vec.conj().T @ v))
-        if interaction_picture:
-            w = np.exp(1j * h0_diagonal(prop.params, prop.basis, m) * t) * w
-        out[m] = w
-    result = PureState(state.basis, out)
-    result.check_normalized()
-    return result
+    (amps,) = evolve_grid(prop, state, [t])
+    out = {m: w[0] for m, w in amps.items()}
+    if interaction_picture:
+        h0 = {m: h0_diagonal(prop.params, prop.basis, m) for m in out}
+        out = {m: np.exp(1j * h0[m] * t) * w for m, w in out.items()}
+    return PureState(state.basis, out)
 
 
 def expectation(state: PureState, op) -> float | complex:
@@ -188,19 +202,39 @@ def reduce_atomic(state: PureState) -> AtomicDensity:
 
 
 # ---------------------------------------------------------------------------
-# Field-marginalized sector overlaps (cheap fidelity path)
+# Field-marginalized readouts of the single-excitation table
 # ---------------------------------------------------------------------------
 
 
-def single_excitation_amplitudes(state: PureState, n_photons: int) -> np.ndarray:
-    """Amplitudes on the N single-excitation configs at one Fock level."""
-    basis = state.basis
-    return np.array(
-        [
-            state.amplitude(atom_code(k, basis.n_atoms), n_photons)
-            for k in range(basis.n_atoms)
-        ]
-    )
+def single_excitation_table(
+    basis: AtomFieldBasis, block_amps: dict[int, np.ndarray]
+) -> np.ndarray:
+    """Amplitudes A[..., n, k] on "only atom k excited, n photons".
+
+    `block_amps` holds one state (vectors of shape (dim,)) or a time grid
+    (arrays of shape (T, dim)); the table has shape (..., n_max+1, N).
+    """
+    lead = next(iter(block_amps.values())).shape[:-1]
+    table = np.zeros(lead + (basis.n_max + 1, basis.n_atoms), dtype=complex)
+    for m, idx in basis.single_excitation_index.items():
+        if m in block_amps:
+            table[..., m - 1, :] = block_amps[m][..., idx]
+    return table
+
+
+def _state_table(state: PureState, n_photons: int | None) -> np.ndarray:
+    """The state's table, or only its row for one Fock level."""
+    table = single_excitation_table(state.basis, state.block_amps)
+    if n_photons is None:
+        return table
+    if not 0 <= n_photons <= state.basis.n_max:
+        raise ValueError(f"photon number {n_photons} outside 0..{state.basis.n_max}")
+    return table[n_photons : n_photons + 1]
+
+
+def _projected_weight(table: np.ndarray, atomic_vector: np.ndarray) -> np.ndarray:
+    """Sum over Fock levels of |<v (x) n | psi>|^2."""
+    return np.sum(np.abs(batched_vdot(atomic_vector, table)) ** 2, axis=-1)
 
 
 def marginal_projected_weight(
@@ -211,41 +245,29 @@ def marginal_projected_weight(
     Equals <v| rho_atoms |v> with the field traced out; restricting
     n_photons conditions on one Fock level instead.
     """
-    basis = state.basis
-    levels = range(basis.n_max + 1) if n_photons is None else (n_photons,)
-    total = 0.0
-    for n in levels:
-        amp = np.vdot(atomic_vector, single_excitation_amplitudes(state, n))
-        total += abs(amp) ** 2
-    return total
+    return float(_projected_weight(_state_table(state, n_photons), atomic_vector))
+
+
+def dark_weight(state: PureState, n_photons: int | None = None) -> float:
+    """Weight on the dark complement of the symmetric vector s: |A|^2 - |A s|^2."""
+    return float(_sector_columns(_state_table(state, n_photons))["p_subradiant"])
+
+
+def _sector_columns(table: np.ndarray) -> dict[str, np.ndarray]:
+    per_atom = np.sum(np.abs(table) ** 2, axis=-2)  # the control atom is atom 0
+    single = np.sum(per_atom, axis=-1)
+    sym = _projected_weight(table, symmetric_atomic_vector(table.shape[-1]))
+    return {
+        "p_control": per_atom[..., 0],
+        "p_single_offcontrol": np.sum(per_atom[..., 1:], axis=-1),
+        "p_symmetric": sym,
+        "p_subradiant": single - sym,
+    }
 
 
 def sector_weights(state: PureState) -> dict[str, float]:
     """Field-marginalized weights used by the trajectory report."""
-    basis = state.basis
-    n_atoms = basis.n_atoms
-    control = 0.0
-    off_control = 0.0
-    for m, v in state.block_amps.items():
-        for local, (code, n) in enumerate(basis.block(m).states):
-            if bin(code).count("1") != 1:
-                continue
-            w = abs(v[local]) ** 2
-            if code == atom_code(0, n_atoms):
-                control += w
-            else:
-                off_control += w
-    sym = marginal_projected_weight(state, symmetric_atomic_vector(n_atoms))
-    sub = 0.0
-    if n_atoms >= 2:
-        for row in subradiant_atomic_vectors(n_atoms):
-            sub += marginal_projected_weight(state, row)
-    return {
-        "p_control": control,
-        "p_single_offcontrol": off_control,
-        "p_symmetric": sym,
-        "p_subradiant": sub,
-    }
+    return {k: float(v) for k, v in _sector_columns(_state_table(state, None)).items()}
 
 
 TRAJECTORY_COLUMNS = (
@@ -264,15 +286,15 @@ def trajectory_rows(
 ) -> list[dict[str, float]]:
     """Sample populations, dark-sector weight and <J+J-> along exp(-iHt)."""
     jpjm = collective_operator(prop.basis, "J+J-", block_ids=list(state0.block_amps))
-    rows = []
-    for t in np.asarray(times, dtype=float):
-        st = evolve(prop, state0, float(t))
-        row = {"t_seconds": float(t)}
-        row.update(sector_weights(st))
-        row["jpjm"] = jpjm.expectation(st)
-        row["norm_error"] = abs(st.norm() - 1.0)
-        rows.append(row)
-    return rows
+    times = np.asarray(times, dtype=float)
+    values = [np.empty((0, len(TRAJECTORY_COLUMNS) - 1))]
+    for amps in evolve_grid(prop, state0, times):
+        cols = _sector_columns(single_excitation_table(prop.basis, amps))
+        cols["jpjm"] = jpjm.expectations(amps)
+        cols["norm_error"] = np.abs(_norms(amps) - 1.0)
+        values.append(np.column_stack([cols[c] for c in TRAJECTORY_COLUMNS[1:]]))
+    table = np.column_stack([times, np.concatenate(values)]).tolist()
+    return [dict(zip(TRAJECTORY_COLUMNS, row)) for row in table]
 
 
 def default_trajectory_times(params: SystemParams, points: int = 400) -> np.ndarray:

@@ -41,6 +41,11 @@ class BasisSizeError(ValueError):
         )
 
 
+def batched_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vdot over the last axis, broadcast over the leading ones (same rounding)."""
+    return (np.conj(a)[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def dimension_cap() -> int:
     """Active dimension cap, overridable via the SUBRAD_MAX_DIM env var."""
     raw = os.environ.get(MAX_DIM_ENV)
@@ -81,10 +86,6 @@ class AtomConfig:
 
 def config_excitations(code: int) -> int:
     return bin(code).count("1")
-
-
-def config_string(code: int, n_atoms: int) -> str:
-    return format(code, f"0{n_atoms}b")
 
 
 def atom_code(atom_index: int, n_atoms: int) -> int:
@@ -186,6 +187,14 @@ class AtomFieldBasis:
         assert offset == dim
         self._blocks = blocks
         self._positions = positions
+        # Block-local index of "only atom k excited, m-1 photons", in atom
+        # order, for m = 1..n_max+1: every single-excitation readout uses it.
+        self.single_excitation_index = {
+            m: np.array(
+                [positions[m][(atom_code(k, n_atoms), m - 1)] for k in range(n_atoms)]
+            )
+            for m in range(1, n_max + 2)
+        }
 
     # -- lookup ------------------------------------------------------------
 
@@ -261,9 +270,6 @@ class PureState:
             block_amps[m][basis.local_index(code, n)] = a
         return cls(basis, block_amps)
 
-    def copy(self) -> "PureState":
-        return PureState(self.basis, {m: v.copy() for m, v in self.block_amps.items()})
-
     def norm(self) -> float:
         return sqrt(sum(float(np.vdot(v, v).real) for v in self.block_amps.values()))
 
@@ -308,11 +314,6 @@ class PureState:
             blk = self.basis.block(m)
             out[blk.offset : blk.offset + blk.dim] = v
         return out
-
-    def check_normalized(self, tol: float = NORM_TOL) -> None:
-        nrm = self.norm()
-        if abs(nrm - 1.0) > tol:
-            raise ValueError(f"state norm {nrm} deviates from 1 beyond {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +372,9 @@ def _single_excitation_state(
 ) -> PureState:
     if not 0 <= n_photons <= basis.n_max:
         raise ValueError(f"photon number {n_photons} outside 0..{basis.n_max}")
-    amps = {
-        (atom_code(k, basis.n_atoms), n_photons): atomic_vector[k]
-        for k in range(basis.n_atoms)
-        if atomic_vector[k] != 0.0
-    }
-    return PureState.from_amplitudes(basis, amps)
+    block = np.zeros(basis.block(n_photons + 1).dim, dtype=complex)
+    block[basis.single_excitation_index[n_photons + 1]] = atomic_vector
+    return PureState(basis, {n_photons + 1: block})
 
 
 def symmetric_state(basis: AtomFieldBasis, n_photons: int) -> PureState:

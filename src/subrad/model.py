@@ -18,7 +18,7 @@ from math import sqrt
 
 import numpy as np
 
-from .hilbert import AtomFieldBasis, PureState, config_excitations
+from .hilbert import AtomFieldBasis, PureState, batched_vdot, config_excitations
 
 HERMITICITY_TOL = 1e-12
 
@@ -82,15 +82,6 @@ class BlockDiagonalOperator:
     def block(self, m_total: int) -> np.ndarray:
         return self.blocks[m_total]
 
-    def __add__(self, other: "BlockDiagonalOperator") -> "BlockDiagonalOperator":
-        keys = set(self.blocks) | set(other.blocks)
-        out = {}
-        for m in keys:
-            a = self.blocks.get(m)
-            b = other.blocks.get(m)
-            out[m] = a + b if (a is not None and b is not None) else (a if b is None else b).copy()
-        return BlockDiagonalOperator(self.basis, out)
-
     def apply(self, state: PureState) -> PureState:
         out = {}
         for m, v in state.block_amps.items():
@@ -100,19 +91,25 @@ class BlockDiagonalOperator:
         return PureState(state.basis, out)
 
     def expectation(self, state: PureState) -> float:
-        val = 0.0 + 0.0j
+        return float(self.expectations(state.block_amps))
+
+    def expectations(self, block_amps: dict[int, np.ndarray]) -> np.ndarray:
+        """<psi|O|psi> for amplitudes of shape (..., dim) per block, e.g. a time grid."""
+        val = 0.0j
         applied_sq = 0.0
-        for m, v in state.block_amps.items():
+        for m, v in block_amps.items():
             if m not in self.blocks:
                 raise KeyError(f"operator not built for excitation block {m}")
-            w = self.blocks[m] @ v
-            val += np.vdot(v, w)
-            applied_sq += float(np.vdot(w, w).real)
+            w = (self.blocks[m] @ v.T).T
+            val = val + batched_vdot(v, w)
+            applied_sq = applied_sq + batched_vdot(w, w).real
         # imaginary residue judged against the operator's action, not 1.0
-        scale = max(abs(val), sqrt(applied_sq))
-        if scale > 0.0 and abs(val.imag) > 1e-12 * scale:
-            raise ValueError(f"expectation of a Hermitian operator came out complex: {val}")
-        return float(val.real)
+        scale = np.maximum(np.abs(val), np.sqrt(applied_sq))
+        bad = np.abs(np.imag(val)) > 1e-12 * scale
+        if np.any(bad):
+            worst = np.asarray(val)[bad]
+            raise ValueError(f"expectation of a Hermitian operator came out complex: {worst}")
+        return np.real(val)
 
     def hermiticity_error(self) -> float:
         """max over blocks of ||A - A'|| / ||A|| (Frobenius), 0 for empty."""
@@ -164,9 +161,6 @@ class BlockShiftOperator:
         if not out:  # annihilated entirely; represent as a zero vector on block 0
             out = {0: np.zeros(state.basis.block(0).dim, dtype=complex)}
         return PureState(state.basis, out)
-
-    def matrix_element(self, bra: PureState, ket: PureState) -> complex:
-        return bra.inner(self.apply(ket))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from . import __version__
 from .dynamics import (
     AtomicDensity,
     compile_propagator,
+    dark_weight,
     evolve,
     marginal_projected_weight,
 )
@@ -35,8 +36,8 @@ from .hilbert import (
     atomic_ground_state,
     build_basis,
     control_excited_state,
-    subradiant_atomic_vectors,
     subradiant_target_vector,
+    symmetric_atomic_vector,
 )
 from .model import SystemParams, collective_operator
 from .perturb import (
@@ -111,11 +112,8 @@ def phase_gate(state: PureState, phi: float, control_index: int = 0) -> PureStat
     factor = cmath.exp(-1j * phi)
     out = {}
     for m, v in state.block_amps.items():
-        w = v.copy()
-        for local, (code, _n) in enumerate(basis.block(m).states):
-            if code & bit:
-                w[local] *= factor
-        out[m] = w
+        excited = np.array([code & bit for code, _ in basis.block(m).states], dtype=bool)
+        out[m] = np.where(excited, v * factor, v)
     return PureState(basis, out)
 
 
@@ -125,24 +123,17 @@ def dfs_weight(state, n_photons: int | None = None) -> float:
     Accepts a PureState (field marginalized by default, or conditioned on
     one Fock level via n_photons) or an AtomicDensity.
     """
-    if isinstance(state, AtomicDensity):
-        n_atoms = state.n_atoms
-        if n_atoms < 2:
-            raise NoSubradiantSectorError("no subradiant sector for a single atom")
-        total = 0.0
-        for row in subradiant_atomic_vectors(n_atoms):
-            dense = np.zeros(1 << n_atoms, dtype=complex)
-            for k in range(n_atoms):
-                dense[atom_code(k, n_atoms)] = row[k]
-            total += state.projected_weight(dense)
-        return total
-    n_atoms = state.basis.n_atoms
+    density = isinstance(state, AtomicDensity)
+    n_atoms = state.n_atoms if density else state.basis.n_atoms
     if n_atoms < 2:
         raise NoSubradiantSectorError("no subradiant sector for a single atom")
-    return sum(
-        marginal_projected_weight(state, row, n_photons)
-        for row in subradiant_atomic_vectors(n_atoms)
-    )
+    if not density:
+        return dark_weight(state, n_photons)
+    # trace over the single-excitation configs minus the symmetric projection
+    codes = [atom_code(k, n_atoms) for k in range(n_atoms)]
+    single = state.matrix[np.ix_(codes, codes)]
+    sym = symmetric_atomic_vector(n_atoms)
+    return float(np.trace(single).real - (sym @ single @ sym).real)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +235,27 @@ class ProtocolReport:
         )
 
 
-def _check_truncation(state: PureState) -> None:
-    basis = state.basis
-    for m, w in state.block_weights().items():
+def initial_state(
+    params: SystemParams, field: FieldSpec, options: ProtocolOptions
+) -> PureState:
+    """The protocol's initial state for a pure field, with empty blocks pruned.
+
+    Refused if it puts weight on a block clipped by the Fock cutoff.
+    """
+    n_max = options.n_max if options.n_max is not None else field.required_n_max(params.n_atoms)
+    basis = build_basis(params.n_atoms, n_max)
+    amps = field.amplitudes(n_max)
+    if options.excite_control:
+        initial = control_excited_state(basis, amps, options.control_index)
+    else:
+        initial = atomic_ground_state(basis, amps)
+    for m, w in initial.block_weights().items():
         if basis.block(m).truncated and w > TRUNCATION_WEIGHT_LIMIT:
             raise TruncationRefusal(
                 f"initial state carries weight {w:.3e} on the clipped block M={m} "
                 f"(n_max={basis.n_max}); raise the Fock cutoff"
             )
+    return initial.pruned(options.block_weight_cutoff)
 
 
 def _pure_run(
@@ -262,15 +266,8 @@ def _pure_run(
     options: ProtocolOptions,
 ) -> dict:
     """Simulate one pure-field run and return raw metric values."""
-    n_max = options.n_max if options.n_max is not None else field.required_n_max(params.n_atoms)
-    basis = build_basis(params.n_atoms, n_max)
-    amps = field.amplitudes(n_max)
-    if options.excite_control:
-        initial = control_excited_state(basis, amps, options.control_index)
-    else:
-        initial = atomic_ground_state(basis, amps)
-    _check_truncation(initial)
-    initial = initial.pruned(options.block_weight_cutoff)
+    initial = initial_state(params, field, options)
+    basis = initial.basis
     occupied = sorted(initial.block_amps)
 
     prop = compile_propagator(params, basis, block_ids=occupied)
@@ -305,7 +302,7 @@ def _pure_run(
         "emission": emission,
         "pt_error": pt_error,
         "basis_dim": basis.dim,
-        "n_max": n_max,
+        "n_max": basis.n_max,
         "blocks": occupied,
     }
 

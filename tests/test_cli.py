@@ -82,6 +82,53 @@ def test_malformed_configs_exit_1(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pt_times", [0, -3])
+def test_pt_times_below_one_exit_1(tmp_path, capsys, pt_times):
+    cfg = write_config(tmp_path, n_atoms=4, delta_over_g=100.0, options={"pt_times": pt_times})
+    assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "pt_times must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"n_atoms": 3.7}, "n_atoms"),
+        ({"n_atoms": True}, "n_atoms"),
+        ({"field": {"kind": "fock", "n": 1.5}}, "field.n"),
+        ({"options": {"tm_branch": 0.5}}, "options.tm_branch"),
+        ({"options": {"n_max": 20.2}}, "options.n_max"),
+        ({"options": {"pt_times": 50.5}}, "options.pt_times"),
+        ({"seed": 2.5}, "seed"),
+        ({"seed": False}, "seed"),
+    ],
+)
+def test_non_integral_integer_keys_exit_1(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path, n_atoms=4, delta_over_g=100.0)
+    raw = json.loads(cfg.read_text())
+    raw.update(overrides)
+    cfg.write_text(json.dumps(raw))
+    assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_keys_accepted():
+    config = RunConfig.from_json(
+        {
+            "n_atoms": 4.0,
+            "g_over_2pi_hz": G_HZ,
+            "delta_over_g": 100.0,
+            "field": {"kind": "fock", "n": 1.0},
+            "options": {"tm_branch": 1.0, "n_max": 9.0, "pt_times": 11.0},
+            "seed": 7.0,
+        }
+    )
+    assert config.n_atoms == 4 and config.field.n == 1 and config.seed == 7
+    opts = config.options
+    assert (opts.tm_branch, opts.n_max, opts.pt_times, opts.seed) == (1, 9, 11, 7)
+    assert all(type(v) is int for v in (config.n_atoms, config.field.n, opts.n_max))
+
+
 def test_omega_pair_config(tmp_path):
     cfg = write_config(tmp_path, delta_over_g=None)
     raw = json.loads(cfg.read_text())
@@ -255,6 +302,18 @@ def test_evolve_trajectory_csv(tmp_path):
     first = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert float(first["p_control"]) == pytest.approx(1.0)
     assert float(first["p_subradiant"]) == pytest.approx(3 / 4)
+
+
+def test_evolve_refuses_clipped_fock_block(tmp_path, capsys):
+    # Fock(3) with n_max=3 puts the whole state on the clipped block M=4
+    cfg = write_config(
+        tmp_path, n_atoms=2, field={"kind": "fock", "n": 3}, options={"n_max": 3}
+    )
+    for command in ("protocol", "evolve"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "TruncationRefusal" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
 
 
 def test_floats_emitted_with_17_digits(tmp_path):

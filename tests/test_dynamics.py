@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subrad.dynamics import (
+    TIME_CHUNK,
     EigensolverError,
     compile_propagator,
     default_trajectory_times,
@@ -15,16 +16,21 @@ from subrad.dynamics import (
     expectation,
     marginal_projected_weight,
     reduce_atomic,
+    sector_weights,
     trajectory_rows,
 )
 from subrad.hilbert import (
     PureState,
+    atom_code,
     build_basis,
     control_excited_state,
+    subradiant_atomic_vectors,
     subradiant_target,
     subradiant_target_vector,
+    symmetric_atomic_vector,
     symmetric_state,
 )
+from subrad.protocol import dfs_weight
 from subrad.model import SystemParams, build_hamiltonian, collective_operator
 
 G = 2 * math.pi * 24e3
@@ -253,3 +259,87 @@ def test_trajectory_rows_columns_and_norms():
         assert row["norm_error"] < 1e-10
         total_single = row["p_control"] + row["p_single_offcontrol"]
         assert row["p_symmetric"] + row["p_subradiant"] <= total_single + 1e-9
+
+
+def test_trajectory_rows_match_per_time_evolve_across_chunks():
+    p = ratio_params(4, ratio=40.0)
+    b = build_basis(4, 3)
+    field = np.array([0.6, 0.48j, 0.64, 0.0])
+    st0 = control_excited_state(b, field / np.linalg.norm(field))
+    prop = compile_propagator(p, b, block_ids=list(st0.block_amps))
+    times = default_trajectory_times(p, points=2 * TIME_CHUNK + 7)
+    rows = trajectory_rows(prop, st0, times)
+    jpjm = collective_operator(b, "J+J-", block_ids=list(st0.block_amps))
+    assert len(rows) == len(times)
+    for t, row in zip(times, rows):
+        st = evolve(prop, st0, t)
+        expected = {"t_seconds": t, **sector_weights(st)}
+        expected["jpjm"] = jpjm.expectation(st)
+        expected["norm_error"] = abs(st.norm() - 1.0)
+        assert row.keys() == expected.keys()
+        for key, value in expected.items():
+            assert row[key] == pytest.approx(value, abs=1e-12), key
+
+
+# -- single-excitation readouts against the reduced density ---------------------
+
+
+def dense_single_excitation(vec):
+    n_atoms = len(vec)
+    dense = np.zeros(1 << n_atoms, dtype=complex)
+    for k in range(n_atoms):
+        dense[atom_code(k, n_atoms)] = vec[k]
+    return dense
+
+
+def photon_level_part(state, n_photons):
+    """The (unnormalized) component of `state` with exactly n_photons photons."""
+    basis = state.basis
+    return PureState(
+        basis,
+        {
+            m: np.where([n == n_photons for _, n in basis.block(m).states], v, 0.0)
+            for m, v in state.block_amps.items()
+        },
+    )
+
+
+@given(
+    n_atoms=st.integers(min_value=2, max_value=6),
+    n_max=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_single_excitation_readouts_match_density_projections(n_atoms, n_max, seed):
+    b = build_basis(n_atoms, n_max)
+    rng = np.random.default_rng(seed)
+    blocks = [m for m in b.block_ids if rng.random() < 0.7] or [1]
+    dims = {m: b.block(m).dim for m in blocks}
+    amps = {m: rng.normal(size=d) + 1j * rng.normal(size=d) for m, d in dims.items()}
+    total = math.sqrt(sum(float(np.vdot(v, v).real) for v in amps.values()))
+    state = PureState(b, {m: v / total for m, v in amps.items()})
+
+    rho = reduce_atomic(state)
+    diag = np.diag(rho.matrix).real
+    codes = [atom_code(k, n_atoms) for k in range(n_atoms)]
+    dark_rows = subradiant_atomic_vectors(n_atoms)
+    dark = sum(rho.projected_weight(dense_single_excitation(r)) for r in dark_rows)
+    weights = sector_weights(state)
+    assert weights["p_control"] == pytest.approx(diag[codes[0]], abs=1e-12)
+    assert weights["p_single_offcontrol"] == pytest.approx(diag[codes[1:]].sum(), abs=1e-12)
+    sym = dense_single_excitation(symmetric_atomic_vector(n_atoms))
+    assert weights["p_symmetric"] == pytest.approx(rho.projected_weight(sym), abs=1e-12)
+    assert weights["p_subradiant"] == pytest.approx(dark, abs=1e-12)
+    assert dfs_weight(state) == pytest.approx(dark, abs=1e-12)
+
+    v = rng.normal(size=n_atoms) + 1j * rng.normal(size=n_atoms)
+    assert marginal_projected_weight(state, v) == pytest.approx(
+        rho.projected_weight(dense_single_excitation(v)), abs=1e-12
+    )
+    n = int(rng.integers(0, n_max + 1))
+    rho_n = reduce_atomic(photon_level_part(state, n))
+    dark_n = sum(rho_n.projected_weight(dense_single_excitation(r)) for r in dark_rows)
+    assert dfs_weight(state, n_photons=n) == pytest.approx(dark_n, abs=1e-12)
+    assert marginal_projected_weight(state, v, n_photons=n) == pytest.approx(
+        rho_n.projected_weight(dense_single_excitation(v)), abs=1e-12
+    )

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subrad.dynamics import compile_propagator
-from subrad.hilbert import build_basis
+from subrad.dynamics import compile_propagator, evolve
+from subrad.hilbert import PureState, atom_code, build_basis, subradiant_target_vector
 from subrad.model import SystemParams, build_hint
 from subrad.perturb import (
     AccidentalDegeneracyError,
@@ -180,6 +180,38 @@ def test_exact_vs_effective_small_in_dispersive_regime():
     t_m = math.asin(math.sqrt(5 / 16)) / p.alpha
     err = exact_vs_effective_error(prop, 1, np.linspace(0, t_m, 51))
     assert err < 5e-4
+
+
+@pytest.mark.parametrize(
+    "n_atoms, block, ratio, control_index",
+    [(2, 1, 30.0, 0), (4, 2, 100.0, 0), (5, 3, 50.0, 2), (6, 1, 300.0, 5)],
+)
+def test_exact_vs_effective_matches_per_time_loop(n_atoms, block, ratio, control_index):
+    p = ratio_params(n_atoms, ratio)
+    b = build_basis(n_atoms, block + 1)
+    prop = compile_propagator(p, b, block_ids=[block])
+    times = np.linspace(0.0, 2.5 / p.alpha, 150)
+    init = PureState.from_amplitudes(b, {(atom_code(control_index, n_atoms), block - 1): 1.0})
+    target = subradiant_target_vector(n_atoms, control_index)
+    worst = 0.0
+    for t in times:
+        st = evolve(prop, init, t)
+        exact = np.array([st.amplitude(atom_code(k, n_atoms), block - 1) for k in range(n_atoms)])
+        dark = np.vdot(target, exact)
+        if abs(dark) > 0:
+            exact = exact * (abs(dark) / dark)
+        predicted = effective_product_vector(p, t, control_index)
+        worst = max(worst, np.max(np.abs(exact - predicted)) / np.max(np.abs(predicted)))
+    err = exact_vs_effective_error(prop, block, times, control_index)
+    assert err == pytest.approx(worst, abs=1e-12)
+
+
+def test_exact_vs_effective_refuses_empty_grid():
+    p = ratio_params(4, 100.0)
+    b = build_basis(4, 1)
+    prop = compile_propagator(p, b, block_ids=[1])
+    with pytest.raises(ValueError, match="at least one time"):
+        exact_vs_effective_error(prop, 1, np.linspace(0.0, 1.0, 0))
 
 
 def test_splitting_error_scales_quadratically():
