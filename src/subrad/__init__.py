@@ -4,9 +4,7 @@ __version__ = "0.1.0"
 
 from .fields import FieldSpec
 from .hilbert import (
-    AtomConfig,
     AtomFieldBasis,
-    DickeLabel,
     PureState,
     build_basis,
     control_excited_state,
@@ -28,7 +26,6 @@ from .dynamics import (
     Propagator,
     compile_propagator,
     evolve,
-    expectation,
     reduce_atomic,
 )
 from .perturb import (
@@ -50,12 +47,10 @@ from .protocol import (
 )
 
 __all__ = [
-    "AtomConfig",
     "AtomFieldBasis",
     "AtomicDensity",
     "BlockDiagonalOperator",
     "BlockShiftOperator",
-    "DickeLabel",
     "EffectiveModel",
     "FieldSpec",
     "ProtocolOptions",
@@ -76,7 +71,6 @@ __all__ = [
     "dfs_weight",
     "effective_evolve",
     "evolve",
-    "expectation",
     "phase_gate",
     "plan",
     "reduce_atomic",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .dynamics import (
+# compile_propagator is re-exported for code that imports it from this module
+from .dynamics import (  # noqa: F401
     TRAJECTORY_COLUMNS,
     compile_propagator,
     default_trajectory_times,
@@ -37,7 +39,7 @@ from .perturb import closed_form_corrections, validity_parameter, validity_grade
 from .protocol import (
     NoSubradiantSectorError,
     ProtocolOptions,
-    initial_state,
+    initial_components,
     run,
 )
 
@@ -48,11 +50,59 @@ class ConfigError(ValueError):
     pass
 
 
+# Keys of the README schema, per config section; anything else is refused.
+TOP_KEYS = frozenset(
+    {
+        "n_atoms", "g_over_2pi_hz", "delta_over_g", "omega_a_over_2pi_hz",
+        "omega_c_over_2pi_hz", "field", "options", "allow_invalid", "seed",
+        "sweep", "spectrum", "evolve",
+    }
+)
+SECTION_KEYS = {
+    "options": frozenset({"tm_branch", "phi_override", "n_max", "pt_times", "excite_control"}),
+    "sweep": frozenset({"axis", "values"}),
+    "spectrum": frozenset({"photons", "block", "h0_only"}),
+    "evolve": frozenset({"points", "t_final_seconds"}),
+}
+FIELD_KEYS = {
+    "fock": frozenset({"kind", "n"}),
+    "coherent": frozenset({"kind", "amplitude_re", "amplitude_im"}),
+    "thermal": frozenset({"kind", "mean_n"}),
+}
+
+
+def _known(obj, allowed: frozenset, where: str) -> dict:
+    """The config section `obj`, refused unless it is an object of allowed keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return obj
+
+
 def _integer(value, key: str) -> int:
     """An int or integral float from a config; booleans and fractions refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, key: str) -> float:
+    """A finite number from a config; booleans, NaN and infinities refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _field(obj) -> FieldSpec:
+    """The field section, with its integer and float keys checked."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    _known(obj, FIELD_KEYS.get(kind, frozenset({"kind"})), "field")
+    number = _integer if kind == "fock" else _real
+    return FieldSpec.from_json(
+        {k: v if k == "kind" else number(v, f"field.{k}") for k, v in obj.items()}
+    )
 
 
 @dataclass(frozen=True)
@@ -68,13 +118,18 @@ class RunConfig:
     options: ProtocolOptions
     allow_invalid: bool
     seed: int | None
+    points: int  # trajectory samples for protocol and evolve
+    t_final_seconds: float | None  # evolve span; None = one slow period
+    spectrum_block: int
     raw: dict
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
+        _known(obj, TOP_KEYS, "the config")
+        sections = {k: _known(obj.get(k, {}), keys, k) for k, keys in SECTION_KEYS.items()}
         try:
             n_atoms = _integer(obj["n_atoms"], "n_atoms")
-            g_hz = float(obj["g_over_2pi_hz"])
+            g_hz = _real(obj["g_over_2pi_hz"], "g_over_2pi_hz")
         except KeyError as exc:
             raise ConfigError(f"config is missing required key {exc}") from exc
         if g_hz <= 0:
@@ -92,40 +147,55 @@ class RunConfig:
         if has_pair:
             if oa is None or oc is None:
                 raise ConfigError("the omega pair needs both omega_a and omega_c")
-            oa, oc = float(oa), float(oc)
+            oa = _real(oa, "omega_a_over_2pi_hz")
+            oc = _real(oc, "omega_c_over_2pi_hz")
             if oa <= 0 or oc <= 0:
                 raise ConfigError("omega_*_over_2pi_hz must be positive")
+        else:
+            ratio = _real(ratio, "delta_over_g")
 
-        field_obj = obj.get("field", {"kind": "fock", "n": 0})
-        if field_obj.get("kind") == "fock" and "n" in field_obj:
-            field_obj = dict(field_obj, n=_integer(field_obj["n"], "field.n"))
-        field = FieldSpec.from_json(field_obj)
+        field = _field(obj.get("field", {"kind": "fock", "n": 0}))
 
-        opt = obj.get("options", {})
+        opt = sections["options"]
         seed = obj.get("seed")
         seed = seed if seed is None else _integer(seed, "seed")
         n_max = opt.get("n_max")
+        phi = opt.get("phi_override")
         pt_times = _integer(opt.get("pt_times", 101), "options.pt_times")
         if pt_times < 1:
             raise ConfigError(f"options.pt_times must be at least 1, got {pt_times}")
         options = ProtocolOptions(
             n_max=n_max if n_max is None else _integer(n_max, "options.n_max"),
             tm_branch=_integer(opt.get("tm_branch", 0), "options.tm_branch"),
-            phi_override=opt.get("phi_override"),
+            phi_override=phi if phi is None else _real(phi, "options.phi_override"),
             excite_control=bool(opt.get("excite_control", True)),
             pt_times=pt_times,
             seed=seed,
         )
+
+        evolve = sections["evolve"]
+        points = _integer(evolve.get("points", 400), "evolve.points")
+        if points < 1:
+            raise ConfigError(f"evolve.points must be at least 1, got {points}")
+        t_final = evolve.get("t_final_seconds")
+        spectrum = sections["spectrum"]
+        if "block" in spectrum:
+            block = _integer(spectrum["block"], "spectrum.block")
+        else:
+            block = _integer(spectrum.get("photons", 0), "spectrum.photons") + 1
         return cls(
             n_atoms=n_atoms,
             g_over_2pi_hz=g_hz,
-            delta_over_g=None if ratio is None else float(ratio),
+            delta_over_g=ratio,
             omega_a_over_2pi_hz=oa if has_pair else None,
             omega_c_over_2pi_hz=oc if has_pair else None,
             field=field,
             options=options,
             allow_invalid=bool(obj.get("allow_invalid", False)),
             seed=seed,
+            points=points,
+            t_final_seconds=t_final if t_final is None else _real(t_final, "evolve.t_final_seconds"),
+            spectrum_block=block,
             raw=obj,
         )
 
@@ -153,16 +223,10 @@ def _load_config(path: str) -> RunConfig:
 def _trajectory(config: RunConfig, params: SystemParams, times: np.ndarray) -> list[dict]:
     """Trajectory rows from the initial state that protocol.run prepares.
 
-    Thermal mixtures are represented by their weight-dominant Fock
-    component (a trajectory is a pure-state object).
+    Every column is the weighted sum over the field's Fock components,
+    which is the exact mixture average for every field kind.
     """
-    field = config.field
-    if field.is_mixture:
-        weight, n = max(field.components(), key=lambda wn: wn[0])
-        field = FieldSpec.fock(n)
-    state = initial_state(params, field, config.options)
-    prop = compile_propagator(params, state.basis, block_ids=sorted(state.block_amps))
-    return trajectory_rows(prop, state, times)
+    return trajectory_rows(params, initial_components(params, config.field, config.options), times)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +234,7 @@ def _trajectory(config: RunConfig, params: SystemParams, times: np.ndarray) -> l
 # ---------------------------------------------------------------------------
 
 
-def cmd_protocol(config: RunConfig, out_dir: Path, trajectory_points: int = 400) -> int:
+def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
     params = config.params()
     validity = validity_parameter(params, config.field.mean_n)
     if validity_grade(validity) == "invalid" and not config.allow_invalid:
@@ -187,7 +251,7 @@ def cmd_protocol(config: RunConfig, out_dir: Path, trajectory_points: int = 400)
         {"config": config.raw, "report": report.to_dict()}, out_dir / "report.json"
     )
 
-    rows = _trajectory(config, params, default_trajectory_times(params, trajectory_points))
+    rows = _trajectory(config, params, default_trajectory_times(params, config.points))
     serialize.write_csv(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, rows)
     print(
         f"t_m = {report.t_m_microseconds:.6g} us, "
@@ -294,11 +358,12 @@ def cmd_sweep(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     values = list(sweep["values"])
     tasks = []
     for i, v in enumerate(values):
-        point = _point_config(config.raw, axis, float(v))
-        tasks.append((i, axis, float(v), json.dumps(point)))
+        v = _real(v, "sweep.values")
+        tasks.append((i, axis, v, json.dumps(_point_config(config.raw, axis, v))))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]
@@ -328,13 +393,9 @@ SPECTRUM_COLUMNS = (
 
 
 def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
-    section = config.raw.get("spectrum", {})
     params = config.params()
-    if "block" in section:
-        sector_n = int(section["block"])
-    else:
-        sector_n = int(section.get("photons", 0)) + 1
-    h0_only = bool(section.get("h0_only", False))
+    sector_n = config.spectrum_block
+    h0_only = bool(config.raw.get("spectrum", {}).get("h0_only", False))
 
     n_max = config.options.n_max
     if n_max is None:
@@ -398,13 +459,10 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
 
 def cmd_evolve(config: RunConfig, out_dir: Path) -> int:
     params = config.params()
-    evolve_cfg = config.raw.get("evolve", {})
-    points = int(evolve_cfg.get("points", 400))
-    t_final = evolve_cfg.get("t_final_seconds")
-    if t_final is None:
-        times = default_trajectory_times(params, points)
+    if config.t_final_seconds is None:
+        times = default_trajectory_times(params, config.points)
     else:
-        times = np.linspace(0.0, float(t_final), points)
+        times = np.linspace(0.0, config.t_final_seconds, config.points)
 
     rows = _trajectory(config, params, times)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -449,8 +507,7 @@ def main(argv=None) -> int:
             config = RunConfig.from_json(raw)
         out_dir = Path(args.out)
         if args.command == "protocol":
-            points = int(config.raw.get("evolve", {}).get("points", 400))
-            return cmd_protocol(config, out_dir, trajectory_points=points)
+            return cmd_protocol(config, out_dir)
         if args.command == "sweep":
             return cmd_sweep(config, out_dir, jobs=args.jobs)
         if args.command == "spectrum":

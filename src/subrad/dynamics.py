@@ -21,11 +21,9 @@ from .hilbert import (
 )
 from .model import (
     BlockDiagonalOperator,
-    BlockShiftOperator,
     SystemParams,
     build_hamiltonian,
     collective_operator,
-    h0_diagonal,
 )
 
 RECONSTRUCTION_TOL = 1e-10
@@ -120,33 +118,10 @@ def evolve_grid(
         yield out
 
 
-def evolve(
-    prop: Propagator,
-    state: PureState,
-    t: float,
-    interaction_picture: bool = False,
-) -> PureState:
-    """Propagate |psi> by exp(-iHt) block by block; t may be negative.
-
-    With interaction_picture=True the free phases exp(+i H0 t) are applied
-    afterwards, which strips the fast rotation and leaves only the slow
-    interaction-induced motion.
-    """
+def evolve(prop: Propagator, state: PureState, t: float) -> PureState:
+    """Propagate |psi> by exp(-iHt) block by block; t may be negative."""
     (amps,) = evolve_grid(prop, state, [t])
-    out = {m: w[0] for m, w in amps.items()}
-    if interaction_picture:
-        h0 = {m: h0_diagonal(prop.params, prop.basis, m) for m in out}
-        out = {m: np.exp(1j * h0[m] * t) * w for m, w in out.items()}
-    return PureState(state.basis, out)
-
-
-def expectation(state: PureState, op) -> float | complex:
-    """<psi|O|psi>; real (checked) for Hermitian block-diagonal operators."""
-    if isinstance(op, BlockDiagonalOperator):
-        return op.expectation(state)
-    if isinstance(op, BlockShiftOperator):
-        return state.inner(op.apply(state))
-    raise TypeError(f"unsupported operator type {type(op).__name__}")
+    return PureState(state.basis, {m: w[0] for m, w in amps.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +256,34 @@ TRAJECTORY_COLUMNS = (
 )
 
 
-def trajectory_rows(
-    prop: Propagator, state0: PureState, times: np.ndarray
-) -> list[dict[str, float]]:
-    """Sample populations, dark-sector weight and <J+J-> along exp(-iHt)."""
-    jpjm = collective_operator(prop.basis, "J+J-", block_ids=list(state0.block_amps))
-    times = np.asarray(times, dtype=float)
+def _trajectory_values(params: SystemParams, state0: PureState, times: np.ndarray) -> np.ndarray:
+    """TRAJECTORY_COLUMNS[1:] of one state along exp(-iHt), compiled on its blocks only."""
+    blocks = list(state0.block_amps)
+    prop = compile_propagator(params, state0.basis, block_ids=blocks)
+    jpjm = collective_operator(state0.basis, "J+J-", block_ids=blocks)
     values = [np.empty((0, len(TRAJECTORY_COLUMNS) - 1))]
     for amps in evolve_grid(prop, state0, times):
-        cols = _sector_columns(single_excitation_table(prop.basis, amps))
+        cols = _sector_columns(single_excitation_table(state0.basis, amps))
         cols["jpjm"] = jpjm.expectations(amps)
         cols["norm_error"] = np.abs(_norms(amps) - 1.0)
         values.append(np.column_stack([cols[c] for c in TRAJECTORY_COLUMNS[1:]]))
-    table = np.column_stack([times, np.concatenate(values)]).tolist()
+    return np.concatenate(values)
+
+
+def trajectory_rows(
+    params: SystemParams, components: list[tuple[float, PureState]], times: np.ndarray
+) -> list[dict[str, float]]:
+    """Sample populations, dark-sector weight and <J+J-> along exp(-iHt).
+
+    `components` holds (weight, state) pairs; every column is the weighted
+    sum of the states' columns, which is the mixture average.  The states
+    are compiled and propagated one at a time.
+    """
+    times = np.asarray(times, dtype=float)
+    total = 0.0
+    for w, state in components:
+        total = total + w * _trajectory_values(params, state, times)
+    table = np.column_stack([times, total]).tolist()
     return [dict(zip(TRAJECTORY_COLUMNS, row)) for row in table]
 
 

@@ -1,9 +1,11 @@
 """Constructors for the initial cavity-field state.
 
-Pure fields (Fock, coherent) become amplitude vectors over the retained
-Fock levels; thermal fields become classical mixtures of Fock components,
-truncated at a 1e-8 tail and renormalized, so a run on a thermal field is
-just a weighted family of pure runs.
+Every field enters a run only through its photon-number weights p_n: the
+Hamiltonian, the phase gate and every readout conserve the excitation
+number, so each Fock level evolves in its own block and the results add
+up with weights p_n.  Pure fields (Fock, coherent) give p_n = |c_n|^2 of
+their amplitude vector over the retained levels; thermal fields give
+geometric weights truncated at a 1e-8 tail and renormalized.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TAIL_MASS = 1e-8
+WEIGHT_FLOOR = 1e-14  # pure-field components below this weight are dropped
 
 FIELD_KINDS = ("fock", "coherent", "thermal")
 
@@ -64,10 +67,6 @@ class FieldSpec:
             return abs(self.amplitude) ** 2
         return self.mean_occupation
 
-    @property
-    def is_mixture(self) -> bool:
-        return self.kind == "thermal"
-
     def describe(self) -> dict:
         out = {"kind": self.kind}
         if self.kind == "fock":
@@ -106,7 +105,7 @@ class FieldSpec:
         elif self.kind == "coherent":
             scale = math.ceil(mean)
         else:
-            scale = max((n for _, n in self.components()), default=0)
+            scale = self._thermal_weights()[-1][1]
         return scale + n_atoms + math.ceil(6.0 * math.sqrt(mean) + 4.0)
 
     def amplitudes(self, n_max: int) -> np.ndarray:
@@ -140,18 +139,32 @@ class FieldSpec:
             return c / np.linalg.norm(c)
         raise ValueError("a thermal field is a mixture; use components()")
 
-    def components(self) -> list[tuple[float, int]]:
-        """Classical (weight, Fock level) decomposition.
+    def components(self, n_max: int | None = None) -> list[tuple[float, int]]:
+        """Photon-number decomposition [(p_n, n)] over Fock levels 0..n_max.
 
-        Fock fields are a single component; thermal fields are geometric
-        weights p_n = nbar^n / (1+nbar)^(n+1) cut at a 1e-8 tail and
-        renormalized.  Coherent fields are pure superpositions and have no
-        classical decomposition.
+        Pure fields give p_n = |c_n|^2 of `amplitudes(n_max)`, keeping the
+        levels with p_n >= WEIGHT_FLOOR (a coherent field needs n_max; a
+        Fock field defaults to its own level).  Thermal fields give the
+        geometric weights p_n = nbar^n / (1+nbar)^(n+1), cut at a 1e-8 tail
+        and renormalized; a given n_max must hold all of them.
         """
-        if self.kind == "fock":
-            return [(1.0, self.n)]
-        if self.kind == "coherent":
-            raise ValueError("a coherent field is pure; use amplitudes()")
+        if self.kind == "thermal":
+            weights = self._thermal_weights()
+            top = weights[-1][1]
+            if n_max is not None and top > n_max:
+                raise TruncationError(
+                    f"thermal field with mean {self.mean_occupation:.3g} needs "
+                    f"n_max >= {top}, got {n_max}"
+                )
+            return weights
+        if n_max is None:
+            if self.kind == "coherent":
+                raise ValueError("a coherent decomposition needs the Fock cutoff n_max")
+            n_max = self.n
+        probs = np.abs(self.amplitudes(n_max)) ** 2
+        return [(float(p), n) for n, p in enumerate(probs) if p >= WEIGHT_FLOOR]
+
+    def _thermal_weights(self) -> list[tuple[float, int]]:
         nbar = self.mean_occupation
         if nbar == 0.0:
             return [(1.0, 0)]

@@ -52,38 +52,6 @@ def dimension_cap() -> int:
     return int(raw) if raw else DEFAULT_MAX_DIM
 
 
-@dataclass(frozen=True)
-class AtomConfig:
-    """One atomic product configuration, e.g. bits=(1,0,0) for |100>."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.bits) < 1 or any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"bits must be a nonempty 0/1 tuple, got {self.bits}")
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.bits)
-
-    @property
-    def excitation_count(self) -> int:
-        return sum(self.bits)
-
-    @classmethod
-    def from_int(cls, code: int, n_atoms: int) -> "AtomConfig":
-        return cls(tuple((code >> (n_atoms - 1 - k)) & 1 for k in range(n_atoms)))
-
-    def to_int(self) -> int:
-        code = 0
-        for b in self.bits:
-            code = (code << 1) | b
-        return code
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
 def config_excitations(code: int) -> int:
     return bin(code).count("1")
 
@@ -102,26 +70,6 @@ def dicke_multiplicity(n_atoms: int, j: float) -> int:
         return 0
     k = (n_atoms - two_j) // 2
     return comb(n_atoms, k) - (comb(n_atoms, k - 1) if k >= 1 else 0)
-
-
-@dataclass(frozen=True)
-class DickeLabel:
-    """Collective-spin labels (j, m, lam) of a symmetrized atomic state."""
-
-    j: float
-    m: float
-    lam: int
-
-    @classmethod
-    def for_atoms(cls, n_atoms: int, j: float, m: float, lam: int) -> "DickeLabel":
-        if abs(m) > j or j > n_atoms / 2:
-            raise ValueError(f"need |m| <= j <= N/2, got j={j}, m={m}, N={n_atoms}")
-        if round(2 * j) % 2 != n_atoms % 2:
-            raise ValueError(f"j={j} does not have the parity of N/2 for N={n_atoms}")
-        mult = dicke_multiplicity(n_atoms, j)
-        if not 1 <= lam <= mult:
-            raise ValueError(f"lam={lam} outside 1..{mult} for (N={n_atoms}, j={j})")
-        return cls(j, m, lam)
 
 
 @dataclass(frozen=True)

@@ -121,21 +121,9 @@ class BlockDiagonalOperator:
             worst = max(worst, float(np.linalg.norm(a - a.conj().T) / nrm))
         return worst
 
-    def dump_csv(self, path) -> None:
-        """Debug dump of nonzero elements as flat-index rows: row,col,re,im."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("row,col,re,im\n")
-            for m in sorted(self.blocks):
-                a = self.blocks[m]
-                off = self.basis.block(m).offset
-                rows, cols = np.nonzero(a)
-                for r, c in zip(rows, cols):
-                    z = a[r, c]
-                    fh.write(f"{off + r},{off + c},{z.real:.17g},{z.imag:.17g}\n")
-
 
 class BlockShiftOperator:
-    """Operator shifting the total excitation by `dm`, e.g. J- or a.
+    """Operator shifting the total excitation by `dm`, e.g. J- or J+.
 
     `blocks[m]` maps amplitudes of block m into block m + dm.  Matrix
     elements that would leave the truncated space are simply absent.
@@ -241,12 +229,12 @@ def build_hamiltonian(
 
 
 def collective_operator(basis: AtomFieldBasis, which: str, block_ids=None):
-    """Collective atomic and field operators restricted to blocks.
+    """Collective atomic operators restricted to blocks.
 
-    which: one of "J+", "J-", "Jz", "a", "a+", "J+J-".  Conserving choices
-    ("Jz", "J+J-") return a BlockDiagonalOperator; the rest return
-    BlockShiftOperators (J+ and a+ lose matrix elements at the Fock/atom
-    ceiling, where the target state does not exist).
+    which: one of "J+", "J-", "Jz", "J+J-".  Conserving choices ("Jz",
+    "J+J-") return a BlockDiagonalOperator; the ladders return
+    BlockShiftOperators, with no map out of a block whose target block
+    does not exist.
     """
     n_atoms = basis.n_atoms
     wanted = _wanted(basis, block_ids)
@@ -294,23 +282,6 @@ def collective_operator(basis: AtomFieldBasis, which: str, block_ids=None):
                         a[basis.local_index(code & ~bit, n), j] += 1.0
                     elif which == "J+" and not code & bit:
                         a[basis.local_index(code | bit, n), j] += 1.0
-            blocks[m] = a
-        return BlockShiftOperator(basis, dm, blocks)
-
-    if which in ("a", "a+"):
-        dm = -1 if which == "a" else +1
-        blocks = {}
-        for m in wanted:
-            tgt = m + dm
-            if tgt not in basis.block_ids:
-                continue
-            blk = basis.block(m)
-            a = np.zeros((basis.block(tgt).dim, blk.dim), dtype=complex)
-            for j, (code, n) in enumerate(blk.states):
-                if which == "a" and n >= 1:
-                    a[basis.local_index(code, n - 1), j] = sqrt(n)
-                elif which == "a+" and n + 1 <= basis.n_max:
-                    a[basis.local_index(code, n + 1), j] = sqrt(n + 1)
             blocks[m] = a
         return BlockShiftOperator(basis, dm, blocks)
 

@@ -33,9 +33,7 @@ from .fields import FieldSpec
 from .hilbert import (
     PureState,
     atom_code,
-    atomic_ground_state,
     build_basis,
-    control_excited_state,
     subradiant_target_vector,
     symmetric_atomic_vector,
 )
@@ -151,8 +149,6 @@ class ProtocolOptions:
     excite_control: bool = True
     control_index: int = 0
     pt_times: int = 101  # grid size for the exact-vs-slow comparison on [0, t_m]
-    pt_block_weight_floor: float = 1e-3  # blocks below this skip the comparison
-    block_weight_cutoff: float = 1e-14  # drop numerically empty blocks before compiling
     seed: int | None = None  # echoed into reports; runs are deterministic
 
 
@@ -235,76 +231,61 @@ class ProtocolReport:
         )
 
 
-def initial_state(
+def initial_components(
     params: SystemParams, field: FieldSpec, options: ProtocolOptions
-) -> PureState:
-    """The protocol's initial state for a pure field, with empty blocks pruned.
+) -> list[tuple[float, PureState]]:
+    """The protocol's initial state as weighted unit states on one basis.
 
-    Refused if it puts weight on a block clipped by the Fock cutoff.
+    Each Fock component (p_n, n) of the field becomes the product state
+    with the control atom excited (or all atoms in the ground state) and n
+    photons, which lies in one excitation block.  Refused if a component
+    heavier than TRUNCATION_WEIGHT_LIMIT sits on a block clipped by the
+    Fock cutoff.
     """
     n_max = options.n_max if options.n_max is not None else field.required_n_max(params.n_atoms)
     basis = build_basis(params.n_atoms, n_max)
-    amps = field.amplitudes(n_max)
-    if options.excite_control:
-        initial = control_excited_state(basis, amps, options.control_index)
-    else:
-        initial = atomic_ground_state(basis, amps)
-    for m, w in initial.block_weights().items():
+    code = atom_code(options.control_index, params.n_atoms) if options.excite_control else 0
+    out = []
+    for w, n in field.components(n_max):
+        m = basis.block_of(code, n)
         if basis.block(m).truncated and w > TRUNCATION_WEIGHT_LIMIT:
             raise TruncationRefusal(
                 f"initial state carries weight {w:.3e} on the clipped block M={m} "
                 f"(n_max={basis.n_max}); raise the Fock cutoff"
             )
-    return initial.pruned(options.block_weight_cutoff)
+        out.append((w, PureState.from_amplitudes(basis, {(code, n): 1.0})))
+    return out
 
 
-def _pure_run(
+def _run_component(
     params: SystemParams,
-    field: FieldSpec,
+    initial: PureState,
     plan_: ProtocolPlan,
     phi: float,
+    times: np.ndarray,
     options: ProtocolOptions,
-) -> dict:
-    """Simulate one pure-field run and return raw metric values."""
-    initial = initial_state(params, field, options)
+) -> tuple[float, float, float, float | None]:
+    """Fidelity, dark weight, <J+J-> and slow-model error of one unit initial state.
+
+    Compiles only the state's block; it is freed on return, so one
+    component's spectral data is held at a time.
+    """
+    (m,) = initial.block_amps
     basis = initial.basis
-    occupied = sorted(initial.block_amps)
-
-    prop = compile_propagator(params, basis, block_ids=occupied)
-    final = phase_gate(
-        evolve(prop, initial, plan_.t_m), phi, options.control_index
-    )
-
+    prop = compile_propagator(params, basis, block_ids=[m])
+    final = phase_gate(evolve(prop, initial, plan_.t_m), phi, options.control_index)
     target = subradiant_target_vector(params.n_atoms, options.control_index)
-    fidelity = marginal_projected_weight(final, target)
-    dark = dfs_weight(final)
-    emission = collective_operator(basis, "J+J-", block_ids=occupied).expectation(final)
-
-    pt_error = None
-    if options.excite_control:
-        times = np.linspace(0.0, plan_.t_m, options.pt_times)
-        weights = initial.block_weights()
-        considered = {
-            m: w
-            for m, w in weights.items()
-            if m >= 1 and w >= options.pt_block_weight_floor
-        }
-        if considered:
-            total = sum(considered.values())
-            pt_error = sum(
-                w * exact_vs_effective_error(prop, m, times, options.control_index)
-                for m, w in considered.items()
-            ) / total
-
-    return {
-        "fidelity": fidelity,
-        "dfs": dark,
-        "emission": emission,
-        "pt_error": pt_error,
-        "basis_dim": basis.dim,
-        "n_max": basis.n_max,
-        "blocks": occupied,
-    }
+    pt_error = (
+        exact_vs_effective_error(prop, m, times, options.control_index)
+        if options.excite_control
+        else None
+    )
+    return (
+        marginal_projected_weight(final, target),
+        dfs_weight(final),
+        collective_operator(basis, "J+J-", block_ids=[m]).expectation(final),
+        pt_error,
+    )
 
 
 def run(
@@ -312,10 +293,11 @@ def run(
 ) -> ProtocolReport:
     """Execute excite -> evolve(t_m) -> phase flip and measure the outcome.
 
-    Thermal fields are handled exactly as classical mixtures: one pure run
-    per retained Fock component, metrics averaged with the mixture weights.
-    Runs proceed even outside the dispersive regime; the validity grade in
-    the report flags them.
+    The field's Fock components run one excitation block at a time, and
+    every metric is their weighted sum; the slow-model error is their
+    weighted average.  This is exact for every field kind, since nothing in
+    the protocol couples different blocks.  Runs proceed even outside the
+    dispersive regime; the validity grade in the report flags them.
     """
     options = options or ProtocolOptions()
     plan_ = plan(params, branch=options.tm_branch)
@@ -323,40 +305,32 @@ def run(
 
     validity = validity_parameter(params, field.mean_n)
 
-    if field.is_mixture:
-        comps = field.components()
-        partials = [
-            (w, n, _pure_run(params, FieldSpec.fock(n), plan_, phi, options))
-            for w, n in comps
-        ]
-        fidelity = sum(w * p["fidelity"] for w, _, p in partials)
-        dark = sum(w * p["dfs"] for w, _, p in partials)
-        emission = sum(w * p["emission"] for w, _, p in partials)
-        pt_pairs = [(w, p["pt_error"]) for w, _, p in partials if p["pt_error"] is not None]
-        pt_error = (
-            sum(w * e for w, e in pt_pairs) / sum(w for w, _ in pt_pairs)
-            if pt_pairs
-            else None
-        )
-        meta = {
-            "package_version": __version__,
-            "mixture_components": [
-                {"weight": w, "n": n, "fidelity_subradiant": p["fidelity"]}
-                for w, n, p in partials
-            ],
-            "n_max": max(p["n_max"] for _, _, p in partials),
-        }
-    else:
-        p = _pure_run(params, field, plan_, phi, options)
-        fidelity, dark, emission, pt_error = p["fidelity"], p["dfs"], p["emission"], p["pt_error"]
-        meta = {
-            "package_version": __version__,
-            "basis_dim": p["basis_dim"],
-            "n_max": p["n_max"],
-            "compiled_blocks": p["blocks"],
-        }
+    components = initial_components(params, field, options)
+    basis = components[0][1].basis
+    times = np.linspace(0.0, plan_.t_m, options.pt_times)
+    fidelity = dark = emission = pt_sum = pt_weight = 0.0
+    mixture = []
+    for w, initial in components:
+        fid, dark_n, emission_n, pt_n = _run_component(params, initial, plan_, phi, times, options)
+        fidelity += w * fid
+        dark += w * dark_n
+        emission += w * emission_n
+        if pt_n is not None:
+            pt_sum += w * pt_n
+            pt_weight += w
+        (m,) = initial.block_amps
+        n = m - 1 if options.excite_control else m
+        mixture.append({"weight": w, "n": n, "fidelity_subradiant": fid})
+
+    meta = {
+        "package_version": __version__,
+        "n_max": basis.n_max,
+        "basis_dim": basis.dim,
+        "mixture_components": mixture,
+    }
     if options.seed is not None:
         meta["seed"] = options.seed
+    pt_error = pt_sum / pt_weight if pt_weight else None
 
     sector_n = int(round(field.mean_n)) + 1  # dominant degenerate level
     corrections = closed_form_corrections(params, sector_n)

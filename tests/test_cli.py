@@ -6,6 +6,7 @@ import math
 import pytest
 
 from subrad.cli import RunConfig, main
+from subrad.fields import FieldSpec
 from subrad.protocol import ProtocolReport
 
 G_HZ = 24000.0
@@ -101,6 +102,9 @@ def test_pt_times_below_one_exit_1(tmp_path, capsys, pt_times):
         ({"options": {"pt_times": 50.5}}, "options.pt_times"),
         ({"seed": 2.5}, "seed"),
         ({"seed": False}, "seed"),
+        ({"evolve": {"points": 2.5}}, "evolve.points"),
+        ({"spectrum": {"block": 2.7}}, "spectrum.block"),
+        ({"spectrum": {"photons": 0.5}}, "spectrum.photons"),
     ],
 )
 def test_non_integral_integer_keys_exit_1(tmp_path, capsys, overrides, key):
@@ -110,6 +114,59 @@ def test_non_integral_integer_keys_exit_1(tmp_path, capsys, overrides, key):
     cfg.write_text(json.dumps(raw))
     assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [0, -2])
+def test_points_below_one_exit_1(tmp_path, capsys, points):
+    cfg = write_config(tmp_path, n_atoms=3, evolve={"points": points})
+    for command in ("protocol", "evolve"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "evolve.points must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"delta_over_g": math.nan}, "delta_over_g"),
+        ({"delta_over_g": math.inf}, "delta_over_g"),
+        ({"g_over_2pi_hz": math.nan}, "g_over_2pi_hz"),
+        ({"delta_over_g": None, "omega_a_over_2pi_hz": 5e9, "omega_c_over_2pi_hz": -math.inf},
+         "omega_c_over_2pi_hz"),
+        ({"field": {"kind": "thermal", "mean_n": math.nan}}, "field.mean_n"),
+        ({"field": {"kind": "coherent", "amplitude_re": math.nan}}, "field.amplitude_re"),
+        ({"field": {"kind": "coherent", "amplitude_im": math.inf}}, "field.amplitude_im"),
+        ({"options": {"phi_override": math.nan}}, "options.phi_override"),
+        ({"evolve": {"t_final_seconds": math.inf}}, "evolve.t_final_seconds"),
+    ],
+)
+def test_non_finite_floats_exit_1(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path, n_atoms=4, delta_over_g=100.0)
+    raw = json.loads(cfg.read_text())
+    raw.update(overrides)
+    raw = {k: v for k, v in raw.items() if v is not None}
+    cfg.write_text(json.dumps(raw))
+    assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"{key} must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, where, key",
+    [
+        ({"optoins": {"pt_times": 0}}, "the config", "optoins"),
+        ({"field": {"kind": "fock", "n": 0, "mean_n": 0.2}}, "field", "mean_n"),
+        ({"options": {"pt_time": 11}}, "options", "pt_time"),
+        ({"sweep": {"axis": "N", "values": [2], "step": 1}}, "sweep", "step"),
+        ({"spectrum": {"blocks": 2}}, "spectrum", "blocks"),
+        ({"evolve": {"point": 9}}, "evolve", "point"),
+    ],
+)
+def test_unknown_keys_exit_1(tmp_path, capsys, overrides, where, key):
+    cfg = write_config(tmp_path, n_atoms=3, delta_over_g=100.0, **overrides)
+    assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"unknown key(s) in {where}: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_integral_float_keys_accepted():
@@ -234,6 +291,51 @@ def test_sweep_parallel_matches_serial(tmp_path):
     ).read_bytes()
 
 
+class RecordingPool:
+    """Stand-in for ProcessPoolExecutor that records its size and maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "jobs, n_points, cpus, expected",
+    [
+        (3, 2, 4, [2]),  # capped by the point count
+        (3, 3, 2, [2]),  # capped by the CPU count
+        (2, 3, 4, [2]),  # as asked
+        (3, 2, 1, []),  # a cap of 1 runs serially
+        (1, 2, 4, []),
+        (2, 2, None, []),  # unknown CPU count counts as one
+    ],
+)
+def test_sweep_workers_capped(tmp_path, monkeypatch, jobs, n_points, cpus, expected):
+    import subrad.cli as cli
+
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    values = [40, 80, 160][:n_points]
+    cfg = write_config(
+        tmp_path, n_atoms=2, delta_over_g=100.0, sweep={"axis": "delta_ratio", "values": values}
+    )
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)]) == 0
+    assert RecordingPool.sizes == expected
+    assert [float(r["value"]) for r in read_csv(out / "sweep.csv")] == values
+
+
 def test_sweep_without_section_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
@@ -302,6 +404,33 @@ def test_evolve_trajectory_csv(tmp_path):
     first = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert float(first["p_control"]) == pytest.approx(1.0)
     assert float(first["p_subradiant"]) == pytest.approx(3 / 4)
+
+
+def test_evolve_thermal_is_the_weighted_fock_average(tmp_path):
+    mean_n = 0.2
+    thermal = write_config(
+        tmp_path, n_atoms=3, delta_over_g=60.0,
+        field={"kind": "thermal", "mean_n": mean_n}, evolve={"points": 24},
+    )
+    assert main(["evolve", "--config", str(thermal), "--out", str(tmp_path / "th")]) == 0
+    rows = read_csv(tmp_path / "th" / "trajectory.csv")
+    expected = {}
+    for w, n in FieldSpec.thermal(mean_n).components():
+        cfg = write_config(
+            tmp_path, name=f"fock{n}.json", n_atoms=3, delta_over_g=60.0,
+            field={"kind": "fock", "n": n}, evolve={"points": 24},
+        )
+        out = tmp_path / f"fock{n}"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        for i, row in enumerate(read_csv(out / "trajectory.csv")):
+            for key, value in row.items():
+                if key != "t_seconds":
+                    expected[i, key] = expected.get((i, key), 0.0) + w * float(value)
+    assert len(rows) == 24
+    for i, row in enumerate(rows):
+        for key, value in row.items():
+            if key != "t_seconds":
+                assert float(value) == pytest.approx(expected[i, key], abs=1e-12), (i, key)
 
 
 def test_evolve_refuses_clipped_fock_block(tmp_path, capsys):

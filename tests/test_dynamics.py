@@ -13,7 +13,6 @@ from subrad.dynamics import (
     compile_propagator,
     default_trajectory_times,
     evolve,
-    expectation,
     marginal_projected_weight,
     reduce_atomic,
     sector_weights,
@@ -161,28 +160,11 @@ def test_energy_conservation():
         assert e == pytest.approx(e0, rel=1e-8)
 
 
-def test_interaction_picture_strips_free_phases():
-    p = ratio_params(2)
-    b = build_basis(2, 1)
-    prop = compile_propagator(p, b)
-    st0 = PureState.from_amplitudes(b, {(0, 0): 1.0})  # H0 (and H) eigenstate
-    t = 2.1 / p.alpha
-    schro = evolve(prop, st0, t)
-    inter = evolve(prop, st0, t, interaction_picture=True)
-    # same populations in both pictures; the H eigenstate also regains phase 1
-    assert abs(abs(schro.amplitude(0, 0)) - 1.0) < 1e-12
-    assert abs(inter.amplitude(0, 0) - 1.0) < 1e-12
-
-
-def test_expectation_dispatch():
+def test_jpjm_expectation_singlet_and_symmetric():
     b = build_basis(2, 0)
-    singlet = subradiant_target(b, 0)
     jpjm = collective_operator(b, "J+J-")
-    assert expectation(singlet, jpjm) == pytest.approx(0.0)
-    sym = symmetric_state(b, 0)
-    assert expectation(sym, jpjm) == pytest.approx(2.0)
-    jm = collective_operator(b, "J-")
-    assert expectation(sym, jm) == pytest.approx(0.0)  # off-diagonal, complex path
+    assert jpjm.expectation(subradiant_target(b, 0)) == pytest.approx(0.0)
+    assert jpjm.expectation(symmetric_state(b, 0)) == pytest.approx(2.0)
 
 
 def test_reconstruction_guard_raises_on_bad_matrix():
@@ -246,10 +228,9 @@ def test_reduce_atomic_refuses_huge_spaces():
 def test_trajectory_rows_columns_and_norms():
     p = ratio_params(3, ratio=50.0)
     b = build_basis(3, 1)
-    prop = compile_propagator(p, b, block_ids=[1])
     st0 = control_excited_state(b, np.array([1.0, 0.0]))
     times = default_trajectory_times(p, points=9)
-    rows = trajectory_rows(prop, st0, times)
+    rows = trajectory_rows(p, [(1.0, st0)], times)
     assert len(rows) == 9
     first = rows[0]
     assert first["p_control"] == pytest.approx(1.0)
@@ -268,7 +249,7 @@ def test_trajectory_rows_match_per_time_evolve_across_chunks():
     st0 = control_excited_state(b, field / np.linalg.norm(field))
     prop = compile_propagator(p, b, block_ids=list(st0.block_amps))
     times = default_trajectory_times(p, points=2 * TIME_CHUNK + 7)
-    rows = trajectory_rows(prop, st0, times)
+    rows = trajectory_rows(p, [(1.0, st0)], times)
     jpjm = collective_operator(b, "J+J-", block_ids=list(st0.block_amps))
     assert len(rows) == len(times)
     for t, row in zip(times, rows):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subrad.fields import FieldSpec, TruncationError
+from subrad.fields import WEIGHT_FLOOR, FieldSpec, TruncationError
 
 
 def mean_photons(amps):
@@ -84,6 +84,30 @@ def test_thermal_moments_property(mean):
     assert sum(w for w, _ in comps) == pytest.approx(1.0, abs=1e-10)
     got = sum(w * n for w, n in comps)
     assert got == pytest.approx(mean, abs=1e-6 * max(mean, 1.0))
+
+
+def test_pure_components_are_amplitude_weights():
+    assert FieldSpec.fock(3).components() == [(1.0, 3)]
+    assert FieldSpec.fock(3).components(7) == [(1.0, 3)]
+    f = FieldSpec.coherent(0.8 - 0.6j)
+    probs = np.abs(f.amplitudes(20)) ** 2
+    comps = f.components(20)
+    assert [n for _, n in comps] == [n for n in range(21) if probs[n] >= WEIGHT_FLOOR]
+    assert [w for w, _ in comps] == [float(probs[n]) for _, n in comps]
+    assert sum(w for w, _ in comps) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_components_refuse_a_cutoff_below_the_field():
+    with pytest.raises(TruncationError):
+        FieldSpec.fock(5).components(4)
+    with pytest.raises(TruncationError, match="n_max"):
+        FieldSpec.coherent(2.0).components(5)
+    top = FieldSpec.thermal(0.5).components()[-1][1]
+    assert FieldSpec.thermal(0.5).components(top) == FieldSpec.thermal(0.5).components()
+    with pytest.raises(TruncationError, match="n_max"):
+        FieldSpec.thermal(0.5).components(top - 1)
+    with pytest.raises(ValueError, match="n_max"):
+        FieldSpec.coherent(1.0).components()
 
 
 def test_json_round_trips():

@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subrad.hilbert import (
-    AtomConfig,
     BasisSizeError,
-    DickeLabel,
     PureState,
     atom_code,
     atomic_ground_state,
@@ -99,24 +97,10 @@ def test_dimension_cap_refusal():
     assert err.value.dim == (1 << 20) * 11
 
 
-def test_atom_config_roundtrip():
-    cfg = AtomConfig.from_int(0b100, 3)
-    assert cfg.bits == (1, 0, 0)
-    assert cfg.excitation_count == 1
-    assert cfg.to_int() == 0b100
-    assert str(cfg) == "100"
-
-
 def test_dicke_labels_and_multiplicities():
     assert dicke_multiplicity(4, 2.0) == 1
     assert dicke_multiplicity(4, 1.0) == 3
     assert dicke_multiplicity(4, 0.0) == 2
-    lab = DickeLabel.for_atoms(4, 1.0, -1.0, 2)
-    assert lab.lam == 2
-    with pytest.raises(ValueError):
-        DickeLabel.for_atoms(4, 1.5, 0.5, 1)  # wrong parity
-    with pytest.raises(ValueError):
-        DickeLabel.for_atoms(4, 1.0, -1.0, 4)  # degeneracy is 3
 
 
 def test_symmetric_state_amplitudes():

@@ -211,22 +211,6 @@ def test_su2_commutators():
     assert np.max(np.abs(JPJM - JP @ JM)) < 1e-12
 
 
-def test_ladder_matrix_elements():
-    b = build_basis(1, 3)
-    a = collective_operator(b, "a")
-    adag = collective_operator(b, "a+")
-    from subrad.hilbert import PureState
-
-    for n in (1, 2, 3):
-        st = PureState.from_amplitudes(b, {(0, n): 1.0})
-        assert a.apply(st).norm() == pytest.approx(math.sqrt(n))
-    st = PureState.from_amplitudes(b, {(0, 1): 1.0})
-    assert adag.apply(st).norm() == pytest.approx(math.sqrt(2))
-    # at the Fock ceiling the raising element is dropped
-    top = PureState.from_amplitudes(b, {(0, 3): 1.0})
-    assert adag.apply(top).norm() == pytest.approx(0.0)
-
-
 @pytest.mark.parametrize("n_atoms", range(2, 7))
 def test_j_squared_spectrum_matches_multiplicities(n_atoms):
     # J^2 = J+J- + Jz^2 - Jz on the pure atomic sector (n_max = 0)
@@ -269,16 +253,3 @@ def test_operator_builds_deterministic():
     for m in b1.block_ids:
         assert np.array_equal(h1.block(m), h2.block(m))
 
-
-def test_operator_dump_csv(tmp_path):
-    p = params_for(2)
-    b = build_basis(2, 1)
-    path = tmp_path / "hint.csv"
-    build_hint(p, b).dump_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,re,im"
-    row, col, re, im = lines[1].split(",")
-    # dumped flat indices decode to actual basis states
-    assert b.state_at(int(row)) != b.state_at(int(col))
-    assert float(im) == 0.0
-    assert float(re) != 0.0

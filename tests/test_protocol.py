@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from subrad.dynamics import reduce_atomic
-from subrad.fields import FieldSpec
+from subrad.dynamics import compile_propagator, evolve, marginal_projected_weight, reduce_atomic
+from subrad.fields import FieldSpec, TruncationError
 from subrad.hilbert import (
     PureState,
     build_basis,
@@ -15,7 +15,7 @@ from subrad.hilbert import (
     subradiant_target_vector,
     symmetric_state,
 )
-from subrad.model import SystemParams
+from subrad.model import SystemParams, collective_operator
 from subrad.perturb import effective_product_vector
 from subrad.protocol import (
     NoSubradiantSectorError,
@@ -255,9 +255,67 @@ def test_run_thermal_mixture_aggregates():
     assert rep.fidelity_subradiant >= 0.995
 
 
+RUN_SCALARS = ("fidelity_subradiant", "dfs_weight", "emission_expectation")
+
+
+@pytest.mark.parametrize("mean_n", [0.05, 0.4])
+def test_run_thermal_equals_weighted_fock_runs(mean_n):
+    p = ratio_params(5, ratio=60.0)
+    field = FieldSpec.thermal(mean_n)
+    rep = run(p, field)
+    fock = [(w, run(p, FieldSpec.fock(n))) for w, n in field.components()]
+    for key in RUN_SCALARS:
+        expected = sum(w * getattr(r, key) for w, r in fock)
+        assert getattr(rep, key) == pytest.approx(expected, abs=1e-12), key
+    expected = sum(w * r.pt_coefficient_error for w, r in fock)
+    assert rep.pt_coefficient_error == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n_atoms, amplitude, control_index",
+    [(3, 1.0, 0), (4, 0.7 - 0.9j, 2), (5, 0.4j, 1)],
+)
+def test_run_coherent_matches_superposition_oracle(n_atoms, amplitude, control_index):
+    # the coherent field as one superposition over all blocks, evolved at once
+    p = ratio_params(n_atoms, ratio=80.0)
+    field = FieldSpec.coherent(amplitude)
+    options = ProtocolOptions(control_index=control_index)
+    rep = run(p, field, options)
+    basis = build_basis(n_atoms, field.required_n_max(n_atoms))
+    initial = control_excited_state(basis, field.amplitudes(basis.n_max), control_index)
+    prop = compile_propagator(p, basis, block_ids=list(initial.block_amps))
+    final = phase_gate(evolve(prop, initial, rep.t_m_seconds), rep.phi_radians, control_index)
+    target = subradiant_target_vector(n_atoms, control_index)
+    jpjm = collective_operator(basis, "J+J-", block_ids=list(final.block_amps))
+    assert rep.fidelity_subradiant == pytest.approx(
+        marginal_projected_weight(final, target), abs=1e-12
+    )
+    assert rep.dfs_weight == pytest.approx(dfs_weight(final), abs=1e-12)
+    assert rep.emission_expectation == pytest.approx(jpjm.expectation(final), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "field", [FieldSpec.fock(1), FieldSpec.coherent(0.5j), FieldSpec.thermal(0.2)]
+)
+def test_run_meta_has_one_shape(field):
+    rep = run(ratio_params(3), field)
+    meta = rep.meta
+    assert set(meta) == {"package_version", "n_max", "basis_dim", "mixture_components"}
+    assert meta["basis_dim"] == (1 << 3) * (meta["n_max"] + 1)
+    comps = meta["mixture_components"]
+    assert [(c["weight"], c["n"]) for c in comps] == field.components(meta["n_max"])
+    recombined = sum(c["weight"] * c["fidelity_subradiant"] for c in comps)
+    assert rep.fidelity_subradiant == pytest.approx(recombined, abs=1e-12)
+
+
 def test_run_truncation_refusal():
     with pytest.raises(TruncationRefusal, match="clipped block"):
         run(ratio_params(2), FieldSpec.fock(3), ProtocolOptions(n_max=3))
+
+
+def test_run_thermal_refuses_a_cutoff_below_its_components():
+    with pytest.raises(TruncationError, match="n_max"):
+        run(ratio_params(2), FieldSpec.thermal(0.5), ProtocolOptions(n_max=4))
 
 
 def test_run_flags_invalid_but_proceeds():
