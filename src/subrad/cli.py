@@ -26,22 +26,11 @@ import numpy as np
 
 from . import serialize
 # compile_propagator is re-exported for code that imports it from this module
-from .dynamics import (  # noqa: F401
-    TRAJECTORY_COLUMNS,
-    compile_propagator,
-    default_trajectory_times,
-    trajectory_rows,
-)
+from .dynamics import TRAJECTORY_COLUMNS, compile_propagator, default_trajectory_times  # noqa: F401
 from .fields import FieldSpec
-from .hilbert import build_basis
-from .model import SystemParams, build_h0, build_hamiltonian, h0_diagonal
+from .model import SystemParams
 from .perturb import closed_form_corrections, validity_parameter, validity_grade
-from .protocol import (
-    NoSubradiantSectorError,
-    ProtocolOptions,
-    initial_components,
-    run,
-)
+from .protocol import NoSubradiantSectorError, ProtocolOptions, fock_components, run
 
 TWO_PI = 2.0 * math.pi
 
@@ -88,6 +77,13 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _boolean(value, key: str) -> bool:
+    """A JSON true or false from a config; strings, numbers and null refused."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _real(value, key: str) -> float:
     """A finite number from a config; booleans, NaN and infinities refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -121,6 +117,7 @@ class RunConfig:
     points: int  # trajectory samples for protocol and evolve
     t_final_seconds: float | None  # evolve span; None = one slow period
     spectrum_block: int
+    h0_only: bool  # spectrum of the free Hamiltonian alone
     raw: dict
 
     @classmethod
@@ -168,7 +165,7 @@ class RunConfig:
             n_max=n_max if n_max is None else _integer(n_max, "options.n_max"),
             tm_branch=_integer(opt.get("tm_branch", 0), "options.tm_branch"),
             phi_override=phi if phi is None else _real(phi, "options.phi_override"),
-            excite_control=bool(opt.get("excite_control", True)),
+            excite_control=_boolean(opt.get("excite_control", True), "options.excite_control"),
             pt_times=pt_times,
             seed=seed,
         )
@@ -191,11 +188,12 @@ class RunConfig:
             omega_c_over_2pi_hz=oc if has_pair else None,
             field=field,
             options=options,
-            allow_invalid=bool(obj.get("allow_invalid", False)),
+            allow_invalid=_boolean(obj.get("allow_invalid", False), "allow_invalid"),
             seed=seed,
             points=points,
             t_final_seconds=t_final if t_final is None else _real(t_final, "evolve.t_final_seconds"),
             spectrum_block=block,
+            h0_only=_boolean(spectrum.get("h0_only", False), "spectrum.h0_only"),
             raw=obj,
         )
 
@@ -226,7 +224,10 @@ def _trajectory(config: RunConfig, params: SystemParams, times: np.ndarray) -> l
     Every column is the weighted sum over the field's Fock components,
     which is the exact mixture average for every field kind.
     """
-    return trajectory_rows(params, initial_components(params, config.field, config.options), times)
+    from .reduced import trajectory_rows  # imported on first use; see its docstring
+
+    n_max, components = fock_components(params, config.field, config.options)
+    return trajectory_rows(params, n_max, components, config.options.excite_control, times)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +381,8 @@ def cmd_sweep(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
 # spectrum
 # ---------------------------------------------------------------------------
 
+SPECTRUM_MAX_ROWS = 1 << 16  # one row per eigenvalue of the product block
+
 SPECTRUM_COLUMNS = (
     "index",
     "eigenvalue_rad_s",
@@ -393,46 +396,58 @@ SPECTRUM_COLUMNS = (
 
 
 def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
+    from .reduced import spectrum  # imported on first use; see its docstring
+
     params = config.params()
+    nn = params.n_atoms
     sector_n = config.spectrum_block
-    h0_only = bool(config.raw.get("spectrum", {}).get("h0_only", False))
+    h0_only = config.h0_only
 
     n_max = config.options.n_max
     if n_max is None:
-        n_max = sector_n + params.n_atoms + 4
-    basis = build_basis(params.n_atoms, n_max)
-    if sector_n not in basis.block_ids:
+        n_max = sector_n + nn + 4
+    if not 0 <= sector_n <= nn + n_max:
         raise ConfigError(f"block {sector_n} out of range for this basis")
 
-    builder = build_h0 if h0_only else build_hamiltonian
-    h = builder(params, basis, block_ids=[sector_n]).block(sector_n)
-    eigenvalues = np.linalg.eigvalsh(h)
+    # Free levels of the block: e excited atoms and M - e photons, comb(N, e) states each.
+    free = {
+        e: params.omega_a * (e - nn / 2.0) + params.omega_c * (sector_n - e)
+        for e in range(nn + 1)
+        if 0 <= sector_n - e <= n_max
+    }
+    n_rows = sum(math.comb(nn, e) for e in free)
+    if n_rows > SPECTRUM_MAX_ROWS:
+        raise ConfigError(
+            f"block {sector_n} has {n_rows} eigenvalues, above the {SPECTRUM_MAX_ROWS} "
+            "rows of a spectrum"
+        )
+    eigenvalues = spectrum(params, sector_n, n_max, h0_only)
 
-    # Slow-model level set: shifted degenerate sector plus unshifted free levels.
+    # Slow-model level set: shifted degenerate sector plus unshifted free
+    # levels, as (value, label, count) in ascending order.
     e0 = float(
-        params.omega_a * (1 - params.n_atoms / 2.0) + params.omega_c * (sector_n - 1)
+        params.omega_a * (1 - nn / 2.0) + params.omega_c * (sector_n - 1)
     )
     corrections = closed_form_corrections(params, sector_n)
     de1 = 0.0 if h0_only else corrections.delta_e1
     dei = 0.0 if h0_only or corrections.delta_ei is None else corrections.delta_ei
-    levels = [(e0 + de1, "delta_e1")]
-    if params.n_atoms >= 2:
-        levels.extend([(e0 + dei, "delta_ei")] * (params.n_atoms - 1))
-    diag = h0_diagonal(params, basis, sector_n)
-    for val in sorted(set(diag.tolist())):
+    levels = [(e0 + de1, "delta_e1", 1), (e0 + dei, "delta_ei", nn - 1)]
+    for val in sorted(set(free.values())):
         if abs(val - e0) > 1e-9 * max(abs(e0), abs(params.delta)):
             k = 1 + round((e0 - val) / params.delta)  # E(k) = E0 - (k-1) delta
-            count = int(np.count_nonzero(np.abs(diag - val) < 1e-6))
-            levels.extend([(val, f"free_k{k}")] * count)
+            count = sum(math.comb(nn, e) for e, v in free.items() if abs(v - val) < 1e-6)
+            levels.append((val, f"free_k{k}", count))
     levels.sort(key=lambda lv: lv[0])
 
     scale = 2.0 * abs(params.alpha)
-    errors = np.abs(eigenvalues[:, None] - np.array([lv for lv, _ in levels]))
+    values = np.array([lv for lv, _, _ in levels])
+    left = np.array([count for _, _, count in levels])
     rows = []
     for i, ev in enumerate(eigenvalues):
-        best = int(np.argmin(errors[i]))  # first minimum among untaken levels
-        errors[:, best] = math.inf
-        lv, label = levels[best]
+        # first minimum among untaken levels
+        best = int(np.argmin(np.where(left > 0, np.abs(ev - values), math.inf)))
+        left[best] -= 1
+        lv, label, _ = levels[best]
         rows.append(
             {
                 "index": i,

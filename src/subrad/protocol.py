@@ -22,28 +22,12 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    AtomicDensity,
-    compile_propagator,
-    dark_weight,
-    evolve,
-    marginal_projected_weight,
-)
+# evolve is re-exported for code that imports it from this module
+from .dynamics import AtomicDensity, dark_weight, evolve  # noqa: F401
 from .fields import FieldSpec
-from .hilbert import (
-    PureState,
-    atom_code,
-    build_basis,
-    subradiant_target_vector,
-    symmetric_atomic_vector,
-)
-from .model import SystemParams, collective_operator
-from .perturb import (
-    closed_form_corrections,
-    exact_vs_effective_error,
-    validity_grade,
-    validity_parameter,
-)
+from .hilbert import PureState, atom_code, symmetric_atomic_vector
+from .model import SystemParams
+from .perturb import closed_form_corrections, validity_grade, validity_parameter
 
 TRUNCATION_WEIGHT_LIMIT = 1e-8
 
@@ -231,61 +215,30 @@ class ProtocolReport:
         )
 
 
-def initial_components(
+def fock_components(
     params: SystemParams, field: FieldSpec, options: ProtocolOptions
-) -> list[tuple[float, PureState]]:
-    """The protocol's initial state as weighted unit states on one basis.
+) -> tuple[int, list[tuple[float, int]]]:
+    """The Fock cutoff and the field's photon-number weights [(p_n, n)].
 
-    Each Fock component (p_n, n) of the field becomes the product state
-    with the control atom excited (or all atoms in the ground state) and n
-    photons, which lies in one excitation block.  Refused if a component
-    heavier than TRUNCATION_WEIGHT_LIMIT sits on a block clipped by the
-    Fock cutoff.
+    Component n starts with the control atom excited (or every atom in the
+    ground state) and n photons, in excitation block n+1 (or n).  Refused if
+    a component heavier than TRUNCATION_WEIGHT_LIMIT sits on a block clipped
+    by the Fock cutoff.
     """
+    if not 0 <= options.control_index < params.n_atoms:
+        raise ValueError(
+            f"control index {options.control_index} out of range for N={params.n_atoms}"
+        )
     n_max = options.n_max if options.n_max is not None else field.required_n_max(params.n_atoms)
-    basis = build_basis(params.n_atoms, n_max)
-    code = atom_code(options.control_index, params.n_atoms) if options.excite_control else 0
-    out = []
-    for w, n in field.components(n_max):
-        m = basis.block_of(code, n)
-        if basis.block(m).truncated and w > TRUNCATION_WEIGHT_LIMIT:
+    components = field.components(n_max)
+    for w, n in components:
+        m = n + 1 if options.excite_control else n
+        if m > n_max and w > TRUNCATION_WEIGHT_LIMIT:
             raise TruncationRefusal(
                 f"initial state carries weight {w:.3e} on the clipped block M={m} "
-                f"(n_max={basis.n_max}); raise the Fock cutoff"
+                f"(n_max={n_max}); raise the Fock cutoff"
             )
-        out.append((w, PureState.from_amplitudes(basis, {(code, n): 1.0})))
-    return out
-
-
-def _run_component(
-    params: SystemParams,
-    initial: PureState,
-    plan_: ProtocolPlan,
-    phi: float,
-    times: np.ndarray,
-    options: ProtocolOptions,
-) -> tuple[float, float, float, float | None]:
-    """Fidelity, dark weight, <J+J-> and slow-model error of one unit initial state.
-
-    Compiles only the state's block; it is freed on return, so one
-    component's spectral data is held at a time.
-    """
-    (m,) = initial.block_amps
-    basis = initial.basis
-    prop = compile_propagator(params, basis, block_ids=[m])
-    final = phase_gate(evolve(prop, initial, plan_.t_m), phi, options.control_index)
-    target = subradiant_target_vector(params.n_atoms, options.control_index)
-    pt_error = (
-        exact_vs_effective_error(prop, m, times, options.control_index)
-        if options.excite_control
-        else None
-    )
-    return (
-        marginal_projected_weight(final, target),
-        dfs_weight(final),
-        collective_operator(basis, "J+J-", block_ids=[m]).expectation(final),
-        pt_error,
-    )
+    return n_max, components
 
 
 def run(
@@ -299,33 +252,37 @@ def run(
     the protocol couples different blocks.  Runs proceed even outside the
     dispersive regime; the validity grade in the report flags them.
     """
+    from . import reduced  # imported on first use; see its docstring
+
     options = options or ProtocolOptions()
     plan_ = plan(params, branch=options.tm_branch)
     phi = plan_.phi if options.phi_override is None else options.phi_override
 
     validity = validity_parameter(params, field.mean_n)
 
-    components = initial_components(params, field, options)
-    basis = components[0][1].basis
+    n_max, components = fock_components(params, field, options)
+    c = 1 if options.excite_control else 0
     times = np.linspace(0.0, plan_.t_m, options.pt_times)
     fidelity = dark = emission = pt_sum = pt_weight = 0.0
     mixture = []
-    for w, initial in components:
-        fid, dark_n, emission_n, pt_n = _run_component(params, initial, plan_, phi, times, options)
+    for w, n in components:
+        block = reduced.compile_block(params, n + c, n_max)
+        initial = block.unit_state(c, 0, n)
+        final = reduced.phase_gate(block, reduced.evolve(block, initial, plan_.t_m), phi)
+        values = reduced.readouts(block, final)
+        fid = float(reduced.fidelity(block, final))
         fidelity += w * fid
-        dark += w * dark_n
-        emission += w * emission_n
-        if pt_n is not None:
-            pt_sum += w * pt_n
+        dark += w * float(values["p_subradiant"])
+        emission += w * float(values["jpjm"])
+        if options.excite_control:
+            pt_sum += w * reduced.slow_model_error(block, initial, times)
             pt_weight += w
-        (m,) = initial.block_amps
-        n = m - 1 if options.excite_control else m
         mixture.append({"weight": w, "n": n, "fidelity_subradiant": fid})
 
     meta = {
         "package_version": __version__,
-        "n_max": basis.n_max,
-        "basis_dim": basis.dim,
+        "n_max": n_max,
+        "basis_dim": (1 << params.n_atoms) * (n_max + 1),
         "mixture_components": mixture,
     }
     if options.seed is not None:

@@ -67,6 +67,40 @@ def test_protocol_deterministic_bytes(tmp_path):
     ).read_bytes()
 
 
+def test_protocol_coherent_n10_keeps_the_product_engine_values(tmp_path):
+    # the values the 2^N product-basis engine gave for this run, in about 48 s
+    cfg = write_config(
+        tmp_path,
+        delta_over_g=100.0,
+        field={"kind": "coherent", "amplitude_re": 1.0, "amplitude_im": 0.0},
+    )
+    assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())["report"]
+    expected = {
+        "fidelity_subradiant": 0.9998507951175846,
+        "dfs_weight": 0.9998507951175848,
+        "emission_expectation": 0.0004437920048556324,
+        "pt_coefficient_error": 0.0021940706872058736,
+    }
+    for key, value in expected.items():
+        assert report[key] == pytest.approx(value, abs=1e-12), key
+
+
+def test_protocol_runs_two_hundred_atoms(tmp_path, monkeypatch):
+    # the product space has 2^200 * (n_max + 1) states; no dimension cap applies
+    monkeypatch.delenv("SUBRAD_MAX_DIM", raising=False)
+    cfg = write_config(tmp_path, n_atoms=200, delta_over_g=100.0)
+    assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())["report"]
+    # in the |c, k, n> basis the dark weight is the target weight, so the two meet up to rounding
+    assert 0.0 <= report["fidelity_subradiant"] <= report["dfs_weight"] + 1e-12
+    assert report["dfs_weight"] <= 1.0
+    assert report["meta"]["basis_dim"] == 2**200 * (report["meta"]["n_max"] + 1)
+    rows = read_csv(tmp_path / "o" / "trajectory.csv")
+    assert len(rows) == 400
+    assert all(float(r["norm_error"]) <= 1e-10 for r in rows)
+
+
 def test_malformed_configs_exit_1(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"n_atoms": 4}))
@@ -166,6 +200,20 @@ def test_unknown_keys_exit_1(tmp_path, capsys, overrides, where, key):
     cfg = write_config(tmp_path, n_atoms=3, delta_over_g=100.0, **overrides)
     assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"unknown key(s) in {where}: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+@pytest.mark.parametrize("key", ["allow_invalid", "options.excite_control", "spectrum.h0_only"])
+def test_non_boolean_flags_exit_1(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, n_atoms=3, delta_over_g=100.0)
+    raw = json.loads(cfg.read_text())
+    section, _, name = key.rpartition(".")
+    (raw.setdefault(section, {}) if section else raw)[name] = value
+    cfg.write_text(json.dumps(raw))
+    command = "spectrum" if section == "spectrum" else "protocol"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"{key} must be true or false" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -387,6 +435,14 @@ def test_spectrum_h0_only_degenerate(tmp_path):
     sector = [r for r in rows if r["assignment"].startswith("delta")]
     evs = {float(r["eigenvalue_rad_s"]) for r in sector}
     assert len(sector) == 10 and len(evs) == 1  # exact N-fold degeneracy
+
+
+def test_spectrum_refuses_more_rows_than_it_can_hold(tmp_path, capsys):
+    # block M=N of 17 atoms holds all 2^17 atomic configurations
+    cfg = write_config(tmp_path, n_atoms=17, delta_over_g=100.0, spectrum={"block": 17})
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "sp")]) == 1
+    assert "131072 eigenvalues" in capsys.readouterr().err
+    assert not (tmp_path / "sp").exists()
 
 
 # -- evolve --------------------------------------------------------------------

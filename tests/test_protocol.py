@@ -308,6 +308,13 @@ def test_run_meta_has_one_shape(field):
     assert rep.fidelity_subradiant == pytest.approx(recombined, abs=1e-12)
 
 
+@pytest.mark.parametrize("excite_control", [True, False])
+def test_run_refuses_a_control_index_out_of_range(excite_control):
+    options = ProtocolOptions(control_index=5, excite_control=excite_control)
+    with pytest.raises(ValueError, match="control index 5 out of range"):
+        run(ratio_params(5), FieldSpec.fock(0), options)
+
+
 def test_run_truncation_refusal():
     with pytest.raises(TruncationRefusal, match="clipped block"):
         run(ratio_params(2), FieldSpec.fock(3), ProtocolOptions(n_max=3))
