@@ -8,7 +8,7 @@ the ratio form works in the atomic rotating frame where only the detuning
 matters.
 
 Exit codes: 0 success, 2 validity refusal (smallness parameter over 0.3
-without allow_invalid), 1 anything else.
+without allow_invalid), 1 anything else, usage errors included.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -355,8 +354,9 @@ def cmd_sweep(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     sweep = config.raw.get("sweep")
     if not sweep or "axis" not in sweep or not sweep.get("values"):
         raise ConfigError('sweep runs need config["sweep"] = {"axis": ..., "values": [...]}')
-    axis = sweep["axis"]
-    values = list(sweep["values"])
+    axis, values = sweep["axis"], sweep["values"]
+    if not isinstance(values, list):
+        raise ConfigError(f"sweep.values must be an array, got {values!r}")
     tasks = []
     for i, v in enumerate(values):
         v = _real(v, "sweep.values")
@@ -364,6 +364,8 @@ def cmd_sweep(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
 
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
@@ -513,7 +515,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if args.jobs < 1:
+            parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         config = _load_config(args.config)
         if args.seed is not None:

@@ -164,19 +164,6 @@ class AtomFieldBasis:
         m = self.block_of(code, n_photons)
         return self._blocks[m].offset + self._positions[m][(code, n_photons)]
 
-    def state_at(self, flat: int) -> tuple[int, int]:
-        if not 0 <= flat < self.dim:
-            raise IndexError(f"flat index {flat} outside 0..{self.dim - 1}")
-        for m in self.block_ids:
-            blk = self._blocks[m]
-            if flat < blk.offset + blk.dim:
-                return blk.states[flat - blk.offset]
-        raise AssertionError("unreachable")
-
-    def block_dim_untruncated(self, m_total: int) -> int:
-        """Block size the exchange symmetry alone would give (no Fock cutoff)."""
-        return sum(comb(self.n_atoms, k) for k in range(min(m_total, self.n_atoms) + 1))
-
     def __repr__(self) -> str:
         return f"AtomFieldBasis(n_atoms={self.n_atoms}, n_max={self.n_max}, dim={self.dim})"
 
@@ -241,20 +228,6 @@ class PureState:
         if v is None:
             return 0.0 + 0.0j
         return complex(v[self.basis.local_index(code, n_photons)])
-
-    def block_weights(self) -> dict[int, float]:
-        return {m: float(np.vdot(v, v).real) for m, v in self.block_amps.items()}
-
-    def pruned(self, weight_floor: float) -> "PureState":
-        """Drop blocks carrying less than `weight_floor` of probability."""
-        kept = {
-            m: v.copy()
-            for m, v in self.block_amps.items()
-            if float(np.vdot(v, v).real) >= weight_floor
-        }
-        if not kept:
-            raise ValueError("pruning removed the entire state")
-        return PureState(self.basis, kept)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.basis.dim, dtype=complex)
@@ -374,8 +347,3 @@ def control_excited_state(
     return product_state(
         basis, atom_code(control_index, basis.n_atoms), field_amplitudes
     )
-
-
-def atomic_ground_state(basis: AtomFieldBasis, field_amplitudes: np.ndarray) -> PureState:
-    """All atoms in the ground state, field arbitrary."""
-    return product_state(basis, 0, field_amplitudes)

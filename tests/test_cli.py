@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subrad
 from subrad.cli import RunConfig, main
 from subrad.fields import FieldSpec
 from subrad.protocol import ProtocolReport
@@ -369,10 +374,12 @@ class RecordingPool:
     ],
 )
 def test_sweep_workers_capped(tmp_path, monkeypatch, jobs, n_points, cpus, expected):
+    import concurrent.futures
+
     import subrad.cli as cli
 
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     values = [40, 80, 160][:n_points]
     cfg = write_config(
@@ -388,6 +395,63 @@ def test_sweep_without_section_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert "sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", [0.3, "30", {"a": 30}])
+def test_sweep_values_not_an_array_exit_1(tmp_path, capsys, values):
+    cfg = write_config(tmp_path, sweep={"axis": "delta_ratio", "values": values})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 1
+    assert "sweep.values must be an array" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_1(tmp_path, capsys, jobs):
+    cfg = write_config(
+        tmp_path, n_atoms=2, delta_over_g=100.0, sweep={"axis": "delta_ratio", "values": [40]}
+    )
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"), "--jobs", jobs]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--jobs: must be at least 1" in err
+    assert not (tmp_path / "sw").exists()
+
+
+# -- usage and start-up --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["protocol"], "the following arguments are required: --config"),
+        (["sweep", "--config", "c.json", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+        (["simulate", "--config", "c.json"], "invalid choice: 'simulate'"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage: subrad" in err and message in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: subrad" in capsys.readouterr().out
+
+
+def test_import_leaves_the_pool_and_the_reduced_engine_unloaded():
+    # The process pool serves only sweeps with more than one worker; the
+    # reduced engine is imported on first use (see its module docstring).
+    code = (
+        "import sys, subrad.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'subrad.reduced'} & set(sys.modules)))"
+    )
+    src = str(Path(subrad.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # -- spectrum ----------------------------------------------------------------
