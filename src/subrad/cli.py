@@ -25,7 +25,13 @@ import numpy as np
 
 from . import serialize
 # compile_propagator is re-exported for code that imports it from this module
-from .dynamics import TRAJECTORY_COLUMNS, compile_propagator, default_trajectory_times  # noqa: F401
+from .dynamics import (  # noqa: F401
+    TRAJECTORY_COLUMNS,
+    compile_propagator,
+    default_trajectory_times,
+    spectrum,
+    trajectory_rows,
+)
 from .fields import FieldSpec
 from .model import SystemParams
 from .perturb import closed_form_corrections, validity_parameter, validity_grade
@@ -223,8 +229,6 @@ def _trajectory(config: RunConfig, params: SystemParams, times: np.ndarray) -> l
     Every column is the weighted sum over the field's Fock components,
     which is the exact mixture average for every field kind.
     """
-    from .reduced import trajectory_rows  # imported on first use; see its docstring
-
     n_max, components = fock_components(params, config.field, config.options)
     return trajectory_rows(params, n_max, components, config.options.excite_control, times)
 
@@ -398,8 +402,6 @@ SPECTRUM_COLUMNS = (
 
 
 def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
-    from .reduced import spectrum  # imported on first use; see its docstring
-
     params = config.params()
     nn = params.n_atoms
     sector_n = config.spectrum_block
@@ -508,7 +510,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--jobs", type=int, default=1, help="sweep worker processes")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1, help="sweep worker processes")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
@@ -517,7 +520,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.jobs < 1:
+        if args.command == "sweep" and args.jobs < 1:
             parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return 1 if exc.code else 0

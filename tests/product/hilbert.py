@@ -5,7 +5,8 @@ Basis states are products |b_1 b_2 ... b_N> (x) |n> of an atomic bitstring
 0 <= n <= n_max.  The exchange interaction conserves the total excitation
 number M = (number of excited atoms) + n, so the basis is partitioned into
 excitation blocks and every operator in this package is stored block by
-block.
+block.  This 2^N product basis is the test oracle that `subrad.dynamics`,
+which works on the permutation-reduced |c, k, n> basis, is checked against.
 
 Atomic configurations are encoded as integers whose binary digits, read
 left to right, give the state of atoms 1..N (atom k excited <=> bit
@@ -14,16 +15,14 @@ N-1-k set, so lexicographic bitstring order equals numeric order).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import sqrt
 
 import numpy as np
 
-DEFAULT_MAX_DIM = 5_000_000
-MAX_DIM_ENV = "SUBRAD_MAX_DIM"
+from subrad.dynamics import NORM_TOL
 
-NORM_TOL = 1e-10
+DEFAULT_MAX_DIM = 5_000_000
 
 
 class BasisSizeError(ValueError):
@@ -36,20 +35,13 @@ class BasisSizeError(ValueError):
         self.cap = cap
         super().__init__(
             f"basis for N={n_atoms} atoms and n_max={n_max} has dimension "
-            f"2^{n_atoms}*{n_max + 1} = {dim}, above the cap {cap} "
-            f"(override with {MAX_DIM_ENV})"
+            f"2^{n_atoms}*{n_max + 1} = {dim}, above the cap {cap}"
         )
 
 
 def batched_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.vdot over the last axis, broadcast over the leading ones (same rounding)."""
     return (np.conj(a)[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def dimension_cap() -> int:
-    """Active dimension cap, overridable via the SUBRAD_MAX_DIM env var."""
-    raw = os.environ.get(MAX_DIM_ENV)
-    return int(raw) if raw else DEFAULT_MAX_DIM
 
 
 def config_excitations(code: int) -> int:
@@ -61,15 +53,6 @@ def atom_code(atom_index: int, n_atoms: int) -> int:
     if not 0 <= atom_index < n_atoms:
         raise ValueError(f"atom index {atom_index} out of range for N={n_atoms}")
     return 1 << (n_atoms - 1 - atom_index)
-
-
-def dicke_multiplicity(n_atoms: int, j: float) -> int:
-    """Number of inequivalent collective-spin-j ladders for N spin-1/2 atoms."""
-    two_j = round(2 * j)
-    if two_j < 0 or two_j > n_atoms or (n_atoms - two_j) % 2:
-        return 0
-    k = (n_atoms - two_j) // 2
-    return comb(n_atoms, k) - (comb(n_atoms, k - 1) if k >= 1 else 0)
 
 
 @dataclass(frozen=True)
@@ -100,7 +83,7 @@ class AtomFieldBasis:
             raise ValueError(f"need at least one atom, got {n_atoms}")
         if n_max < 0:
             raise ValueError(f"Fock truncation must be >= 0, got {n_max}")
-        cap = dimension_cap() if max_dim is None else max_dim
+        cap = DEFAULT_MAX_DIM if max_dim is None else max_dim
         dim = (1 << n_atoms) * (n_max + 1)
         if dim > cap:
             raise BasisSizeError(n_atoms, n_max, dim, cap)

@@ -10,26 +10,20 @@ import time
 import numpy as np
 import pytest
 
-from subrad.dynamics import compile_propagator, evolve
-from subrad.fields import FieldSpec
-from subrad.hilbert import (
+from product.dynamics import compile_propagator, evolve
+from product.hilbert import (
     build_basis,
     control_excited_state,
     subradiant_basis,
     symmetric_state,
 )
-from subrad.model import (
-    SystemParams,
-    build_hamiltonian,
-    collective_operator,
-)
-from subrad.perturb import (
-    build_sector,
-    closed_form_corrections,
-    exact_vs_effective_error,
-    second_order_matrix,
-)
-from subrad.protocol import dfs_weight, plan, run
+from product.model import build_hamiltonian, collective_operator
+from product.perturb import build_sector, exact_vs_effective_error, second_order_matrix
+from product.protocol import dfs_weight
+from subrad.fields import FieldSpec
+from subrad.model import SystemParams
+from subrad.perturb import closed_form_corrections
+from subrad.protocol import plan, run
 
 G = 2 * math.pi * 24e3  # rad/s
 

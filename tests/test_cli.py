@@ -91,9 +91,8 @@ def test_protocol_coherent_n10_keeps_the_product_engine_values(tmp_path):
         assert report[key] == pytest.approx(value, abs=1e-12), key
 
 
-def test_protocol_runs_two_hundred_atoms(tmp_path, monkeypatch):
+def test_protocol_runs_two_hundred_atoms(tmp_path):
     # the product space has 2^200 * (n_max + 1) states; no dimension cap applies
-    monkeypatch.delenv("SUBRAD_MAX_DIM", raising=False)
     cfg = write_config(tmp_path, n_atoms=200, delta_over_g=100.0)
     assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())["report"]
@@ -439,12 +438,23 @@ def test_help_exits_0(capsys):
     assert "usage: subrad" in capsys.readouterr().out
 
 
-def test_import_leaves_the_pool_and_the_reduced_engine_unloaded():
-    # The process pool serves only sweeps with more than one worker; the
-    # reduced engine is imported on first use (see its module docstring).
+@pytest.mark.parametrize("command", ["protocol", "spectrum", "evolve"])
+def test_jobs_only_on_sweep_exit_1(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage: subrad" in err and "unrecognized arguments: --jobs 2" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_import_leaves_the_pool_and_the_product_basis_unloaded():
+    # The process pool serves only sweeps with more than one worker; the 2^N
+    # product basis is a test oracle, not part of the package.
     code = (
         "import sys, subrad.cli; "
-        "print(sorted({'concurrent.futures', 'multiprocessing', 'subrad.reduced'} & set(sys.modules)))"
+        "unwanted = {'concurrent.futures', 'multiprocessing', 'subrad.hilbert'}; "
+        "print(sorted(unwanted & set(sys.modules)))"
     )
     src = str(Path(subrad.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -7,18 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subrad.dynamics import (
-    TIME_CHUNK,
-    EigensolverError,
+from product.dynamics import (
     compile_propagator,
-    default_trajectory_times,
     evolve,
     marginal_projected_weight,
     reduce_atomic,
     sector_weights,
     trajectory_rows,
 )
-from subrad.hilbert import (
+from product.hilbert import (
     PureState,
     atom_code,
     build_basis,
@@ -29,8 +26,10 @@ from subrad.hilbert import (
     symmetric_atomic_vector,
     symmetric_state,
 )
-from subrad.protocol import dfs_weight
-from subrad.model import SystemParams, build_hamiltonian, collective_operator
+from product.model import build_hamiltonian, collective_operator
+from product.protocol import dfs_weight
+from subrad.dynamics import TIME_CHUNK, EigensolverError, default_trajectory_times
+from subrad.model import SystemParams
 
 G = 2 * math.pi * 24e3
 

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subrad.hilbert import (
+from product.hilbert import (
     BasisSizeError,
     PureState,
     atom_code,
     build_basis,
     config_excitations,
     control_excited_state,
-    dicke_multiplicity,
     product_state,
     subradiant_atomic_vectors,
     subradiant_basis,
@@ -23,6 +22,7 @@ from subrad.hilbert import (
     subradiant_target_vector,
     symmetric_state,
 )
+from subrad.dynamics import dicke_multiplicity
 
 
 def test_smallest_basis_enumeration():

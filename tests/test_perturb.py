@@ -7,18 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subrad.dynamics import compile_propagator, evolve
-from subrad.hilbert import PureState, atom_code, build_basis, subradiant_target_vector
-from subrad.model import SystemParams, build_hint
-from subrad.perturb import (
+from product.dynamics import compile_propagator, evolve
+from product.hilbert import PureState, atom_code, build_basis, subradiant_target_vector
+from product.model import build_hint
+from product.perturb import (
     AccidentalDegeneracyError,
     DegenerateSector,
     build_sector,
-    closed_form_corrections,
-    effective_evolve,
     effective_product_vector,
     exact_vs_effective_error,
     second_order_matrix,
+)
+from subrad.model import SystemParams
+from subrad.perturb import (
+    closed_form_corrections,
+    effective_evolve,
     validity_grade,
     validity_parameter,
 )

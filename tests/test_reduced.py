@@ -1,6 +1,5 @@
 """The permutation-reduced |c, k, n> engine against the product-basis engine."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,19 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subrad import reduced
-from subrad.dynamics import (
-    compile_propagator,
-    default_trajectory_times,
-    evolve,
-    marginal_projected_weight,
-    trajectory_rows,
-)
+from product.dynamics import compile_propagator, evolve, marginal_projected_weight, trajectory_rows
+from product.hilbert import PureState, atom_code, build_basis, subradiant_target_vector
+from product.model import build_h0, build_hamiltonian, collective_operator
+from product.perturb import exact_vs_effective_error
+from product.protocol import dfs_weight, phase_gate
+from subrad import dynamics
+from subrad.dynamics import default_trajectory_times
 from subrad.fields import FieldSpec
-from subrad.hilbert import PureState, atom_code, build_basis, subradiant_target_vector
-from subrad.model import SystemParams, build_h0, build_hamiltonian, collective_operator
-from subrad.perturb import exact_vs_effective_error
-from subrad.protocol import ProtocolOptions, dfs_weight, fock_components, phase_gate, plan, run
+from subrad.model import SystemParams
+from subrad.protocol import ProtocolOptions, fock_components, plan, run
 
 G = 2 * math.pi * 24e3
 
@@ -37,23 +33,26 @@ def rounding_floor(params, field, t):
     return 8 * np.finfo(float).eps * abs(params.delta) * (field.mean_n + 1) * t
 
 
-def product_components(params, field, options):
+def product_components(params, field, options, control_index):
     """(p_n, product state) per Fock component, on one product basis."""
     n_max, components = fock_components(params, field, options)
     basis = build_basis(params.n_atoms, n_max)
-    code = atom_code(options.control_index, params.n_atoms) if options.excite_control else 0
+    code = atom_code(control_index, params.n_atoms) if options.excite_control else 0
     return [(w, PureState.from_amplitudes(basis, {(code, n): 1.0})) for w, n in components]
 
 
-def product_run(params, field, options):
-    """Fidelity, dark weight, <J+J-> and slow-model error on the product basis."""
+def product_run(params, field, options, ci):
+    """Fidelity, dark weight, <J+J-> and slow-model error on the product basis.
+
+    The control atom is atom `ci`; by permutation symmetry every choice must
+    reproduce `run`, whose control atom has no index.
+    """
     pl = plan(params, branch=options.tm_branch)
     phi = pl.phi if options.phi_override is None else options.phi_override
-    ci = options.control_index
     target = subradiant_target_vector(params.n_atoms, ci)
     times = np.linspace(0.0, pl.t_m, options.pt_times)
     fid = dark = jpjm = pt = pt_weight = 0.0
-    for w, initial in product_components(params, field, options):
+    for w, initial in product_components(params, field, options, ci):
         (m,) = initial.block_amps
         prop = compile_propagator(params, initial.basis, block_ids=[m])
         final = phase_gate(evolve(prop, initial, pl.t_m), phi, ci)
@@ -88,18 +87,18 @@ def protocol_cases(draw):
         tm_branch=draw(st.integers(min_value=0, max_value=1)),
         phi_override=draw(st.one_of(st.none(), st.floats(min_value=-math.pi, max_value=math.pi))),
         excite_control=excite,
-        control_index=draw(st.integers(min_value=0, max_value=n_atoms - 1)),
         pt_times=draw(st.integers(min_value=1, max_value=40)),
     )
-    return SystemParams.from_detuning_ratio(n_atoms, G, ratio), field, options
+    control_index = draw(st.integers(min_value=0, max_value=n_atoms - 1))
+    return SystemParams.from_detuning_ratio(n_atoms, G, ratio), field, options, control_index
 
 
 @given(protocol_cases())
 @settings(max_examples=40, deadline=None)
 def test_run_matches_product_engine(case):
-    params, field, options = case
+    params, field, options, control_index = case
     rep = run(params, field, options)
-    fid, dark, jpjm, pt = product_run(params, field, options)
+    fid, dark, jpjm, pt = product_run(params, field, options, control_index)
     floor = rounding_floor(params, field, rep.t_m_seconds)
     assert rep.fidelity_subradiant == pytest.approx(fid, abs=1e-12 + floor)
     assert rep.dfs_weight == pytest.approx(dark, abs=1e-12 + floor)
@@ -113,12 +112,12 @@ def test_run_matches_product_engine(case):
 @given(protocol_cases(), st.integers(min_value=1, max_value=150))
 @settings(max_examples=30, deadline=None)
 def test_trajectory_matches_product_engine(case, points):
-    params, field, options = case
-    options = dataclasses.replace(options, control_index=0)  # the product readout's control atom
+    params, field, options, _ = case
     times = default_trajectory_times(params, points)
     n_max, components = fock_components(params, field, options)
-    rows = reduced.trajectory_rows(params, n_max, components, options.excite_control, times)
-    expected = trajectory_rows(params, product_components(params, field, options), times)
+    rows = dynamics.trajectory_rows(params, n_max, components, options.excite_control, times)
+    # atom 0 is the product readout's control atom
+    expected = trajectory_rows(params, product_components(params, field, options, 0), times)
     assert len(rows) == len(expected) == points
     floor = rounding_floor(params, field, times[-1])
     for row, ref in zip(rows, expected):
@@ -138,7 +137,7 @@ def test_trajectory_on_clipped_blocks(n_atoms, n_max, excited):
     basis = build_basis(n_atoms, n_max)
     code = atom_code(0, n_atoms) if excited else 0
     for n in range(n_max + 1):
-        rows = reduced.trajectory_rows(params, n_max, [(1.0, n)], excited, times)
+        rows = dynamics.trajectory_rows(params, n_max, [(1.0, n)], excited, times)
         state = PureState.from_amplitudes(basis, {(code, n): 1.0})
         for row, ref in zip(rows, trajectory_rows(params, [(1.0, state)], times)):
             for key, value in ref.items():
@@ -155,7 +154,7 @@ def test_spectrum_matches_product_blocks(n_atoms, n_max, h0_only):
     builder = build_h0 if h0_only else build_hamiltonian
     for m in basis.block_ids:
         expected = np.linalg.eigvalsh(builder(params, basis, block_ids=[m]).block(m))
-        got = reduced.spectrum(params, m, n_max, h0_only)
+        got = dynamics.spectrum(params, m, n_max, h0_only)
         assert got.shape == expected.shape, m
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= 1e-10 * scale, m
@@ -166,7 +165,7 @@ def test_spectrum_in_the_laboratory_frame():
     basis = build_basis(5, 4)
     for m in basis.block_ids:
         expected = np.linalg.eigvalsh(build_hamiltonian(params, basis, block_ids=[m]).block(m))
-        got = reduced.spectrum(params, m, 4)
+        got = dynamics.spectrum(params, m, 4)
         assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected)), m
 
 
@@ -180,8 +179,8 @@ def test_laboratory_frame_run_matches_the_atomic_frame():
         assert getattr(a, key) == pytest.approx(getattr(b, key), abs=1e-12), key
     times = default_trajectory_times(atomic, 50)
     n_max, components = fock_components(atomic, field, ProtocolOptions())
-    rows_lab = reduced.trajectory_rows(lab, n_max, components, True, times)
-    rows_atomic = reduced.trajectory_rows(atomic, n_max, components, True, times)
+    rows_lab = dynamics.trajectory_rows(lab, n_max, components, True, times)
+    rows_atomic = dynamics.trajectory_rows(atomic, n_max, components, True, times)
     for row, ref in zip(rows_lab, rows_atomic):
         for key, value in ref.items():
             assert row[key] == pytest.approx(value, abs=1e-11), key
@@ -189,11 +188,23 @@ def test_laboratory_frame_run_matches_the_atomic_frame():
 
 def test_block_has_at_most_two_n_states():
     params = SystemParams.from_detuning_ratio(200, G, 100.0)
-    block = reduced.compile_block(params, 150, 160)
+    block = dynamics.compile_propagator(params, 150, 160)
     assert len(block.states) == 2 * 150 + 1  # k = 0..149 for c = 1, 0..150 for c = 0
     assert np.all(block.states.sum(axis=1) == 150)
 
 
 def test_compile_block_refuses_a_negative_cutoff():
     with pytest.raises(ValueError, match="Fock truncation"):
-        reduced.compile_block(SystemParams.from_detuning_ratio(3, G, 30.0), 1, -1)
+        dynamics.compile_propagator(SystemParams.from_detuning_ratio(3, G, 30.0), 1, -1)
+
+
+def test_evolve_composes_and_inverts():
+    params = SystemParams.from_detuning_ratio(5, G, 40.0)
+    block = dynamics.compile_propagator(params, 3, 4)
+    psi = block.unit_state(1, 0, 2)
+    t1, t2 = 0.37 / params.alpha, 0.91 / params.alpha
+    once = dynamics.evolve(block, psi, t1 + t2)
+    twice = dynamics.evolve(block, dynamics.evolve(block, psi, t1), t2)
+    assert np.max(np.abs(once - twice)) < 1e-9
+    back = dynamics.evolve(block, dynamics.evolve(block, psi, t1), -t1)
+    assert np.max(np.abs(back - psi)) < 1e-9
