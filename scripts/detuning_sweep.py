@@ -16,7 +16,6 @@ def main() -> int:
     parser.add_argument(
         "--ratios", default="20,30,50,100,200,300", help="comma-separated delta/g values"
     )
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     config = {
@@ -34,9 +33,7 @@ def main() -> int:
     cfg_path = out / "config.json"
     cfg_path.write_text(json.dumps(config, indent=2))
 
-    rc = cli_main(
-        ["sweep", "--config", str(cfg_path), "--out", str(out), "--jobs", str(args.jobs)]
-    )
+    rc = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)])
     if rc == 0:
         print(f"results in {out / 'sweep.csv'}")
     return rc

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-# compile_propagator is re-exported for code that imports it from this module
+# compile_propagator is imported only for perfbench/selftest.py's tracer check
 from .dynamics import (  # noqa: F401
     TRAJECTORY_COLUMNS,
     compile_propagator,
@@ -32,7 +31,7 @@ from .dynamics import (  # noqa: F401
     spectrum,
     trajectory_rows,
 )
-from .fields import FieldSpec
+from .fields import FIELD_KINDS, FieldSpec
 from .model import SystemParams
 from .perturb import closed_form_corrections, validity_parameter, validity_grade
 from .protocol import NoSubradiantSectorError, ProtocolOptions, fock_components, run
@@ -97,9 +96,14 @@ def _real(value, key: str) -> float:
 
 
 def _field(obj) -> FieldSpec:
-    """The field section, with its integer and float keys checked."""
+    """The field section, with its kind, required keys, integers and floats checked."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
     _known(obj, FIELD_KEYS.get(kind, frozenset({"kind"})), "field")
+    if kind not in FIELD_KEYS:
+        raise ConfigError(f"field.kind must be one of {FIELD_KINDS}, got {kind!r}")
+    required = {"fock": "n", "thermal": "mean_n"}.get(kind)
+    if required is not None and required not in obj:
+        raise ConfigError(f"config is missing required key 'field.{required}'")
     number = _integer if kind == "fock" else _real
     return FieldSpec.from_json(
         {k: v if k == "kind" else number(v, f"field.{k}") for k, v in obj.items()}
@@ -311,7 +315,8 @@ def _point_config(raw: dict, axis: str, value: float) -> dict:
                 raise ConfigError(f"Fock sweep values must be integers, got {value}")
             field["n"] = int(value)
         elif field["kind"] == "coherent":
-            field["amplitude_re"] = math.sqrt(value)
+            # a negative mean has no amplitude; _sweep_point refuses it in the point's row
+            field["amplitude_re"] = math.sqrt(max(value, 0.0))
             field["amplitude_im"] = 0.0
         else:
             field["mean_n"] = value
@@ -321,8 +326,7 @@ def _point_config(raw: dict, axis: str, value: float) -> dict:
     return cfg
 
 
-def _sweep_point(task: tuple[int, str, float, str]) -> dict:
-    idx, axis, value, cfg_json = task
+def _sweep_point(idx: int, axis: str, value: float, cfg: dict) -> dict:
     row = {
         "point": idx,
         "axis": axis,
@@ -330,7 +334,9 @@ def _sweep_point(task: tuple[int, str, float, str]) -> dict:
         "error": "",
     }
     try:
-        config = RunConfig.from_json(json.loads(cfg_json))
+        if axis == "mean_n" and value < 0 and cfg["field"]["kind"] == "coherent":
+            raise ValueError(f"a coherent field's mean_n must be >= 0 (got {value})")
+        config = RunConfig.from_json(cfg)
         params = config.params()
         report = run(params, config.field, config.options)
         row.update(
@@ -354,27 +360,18 @@ def _sweep_point(task: tuple[int, str, float, str]) -> dict:
     return row
 
 
-def cmd_sweep(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
+def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
     sweep = config.raw.get("sweep")
     if not sweep or "axis" not in sweep or not sweep.get("values"):
         raise ConfigError('sweep runs need config["sweep"] = {"axis": ..., "values": [...]}')
     axis, values = sweep["axis"], sweep["values"]
     if not isinstance(values, list):
         raise ConfigError(f"sweep.values must be an array, got {values!r}")
-    tasks = []
-    for i, v in enumerate(values):
+    points = []  # every point's config is checked before the first point runs
+    for v in values:
         v = _real(v, "sweep.values")
-        tasks.append((i, axis, v, json.dumps(_point_config(config.raw, axis, v))))
-
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
-    rows.sort(key=lambda r: r["point"])
+        points.append((v, _point_config(config.raw, axis, v)))
+    rows = [_sweep_point(i, axis, v, cfg) for i, (v, cfg) in enumerate(points)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     serialize.write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
@@ -511,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         if name == "sweep":
-            p.add_argument("--jobs", type=int, default=1, help="sweep worker processes")
+            p.add_argument("--jobs", type=int, default=1, help="no effect; sweeps run in-process")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
@@ -534,7 +531,7 @@ def main(argv=None) -> int:
         if args.command == "protocol":
             return cmd_protocol(config, out_dir)
         if args.command == "sweep":
-            return cmd_sweep(config, out_dir, jobs=args.jobs)
+            return cmd_sweep(config, out_dir)
         if args.command == "spectrum":
             return cmd_spectrum(config, out_dir)
         if args.command == "evolve":

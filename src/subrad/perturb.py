@@ -24,7 +24,7 @@ from math import sqrt
 
 import numpy as np
 
-# evolve is re-exported for code that imports it from this module
+# evolve is imported only for perfbench/selftest.py's tracer check
 from .dynamics import Block, evolve, evolve_grid, single_excitation_pair  # noqa: F401
 from .model import SystemParams
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import __version__
-# evolve is re-exported for code that imports it from this module
+# evolve is imported only for perfbench/selftest.py's tracer check
 from .dynamics import (  # noqa: F401
     Block,
     compile_propagator,

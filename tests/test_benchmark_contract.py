@@ -1,0 +1,54 @@
+"""What the benchmark in perfbench/ needs of the package.
+
+perfbench/tracer.py wraps every public subrad function and sums self time per
+module, and perfbench/selftest.py checks that the wrappers reach the names
+that protocol, perturb and cli import from dynamics.  These tests make a
+change that breaks either contract fail here, not only in the benchmark.
+"""
+
+import importlib.util
+import json
+import pkgutil
+import sys
+from pathlib import Path
+
+import pytest
+
+import subrad
+import subrad.cli
+import subrad.dynamics
+import subrad.perturb
+import subrad.protocol
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    """perfbench/tracer.py as a private module, loaded without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_selftest_names_are_the_engine_functions():
+    assert subrad.protocol.evolve is subrad.dynamics.evolve
+    assert subrad.perturb.evolve is subrad.dynamics.evolve
+    assert subrad.cli.compile_propagator is subrad.dynamics.compile_propagator
+
+
+def test_every_module_is_a_tracer_layer(tracer):
+    modules = {m.name for m in pkgutil.iter_modules(subrad.__path__)}
+    assert modules and modules <= set(tracer.LAYERS), modules - set(tracer.LAYERS)
+
+
+def test_summarize_takes_a_span_of_every_traced_function(tracer, tmp_path):
+    names = sorted(set(tracer.traced_functions().values()) - {"cli.main"})
+    assert "dynamics.compile_propagator" in names
+    spans = [[0, None, "cli.main", 0.0, float(len(names)), {}]]
+    spans += [[i, 0, name, i - 1.0, float(i), {}] for i, name in enumerate(names, 1)]
+    (tmp_path / "spans-1.jsonl").write_text("".join(json.dumps(s) + "\n" for s in spans))
+    out = tracer.summarize(tmp_path, 1)
+    assert out["dynamics.compile_propagator.calls"] == 1

@@ -120,6 +120,17 @@ def test_malformed_configs_exit_1(tmp_path, capsys):
     assert main(["protocol", "--config", str(both), "--out", str(tmp_path)]) == 1
     assert "exactly one" in capsys.readouterr().err
 
+    for field, key in (
+        ({"kind": "thermal"}, "field.mean_n"),
+        ({"kind": "fock"}, "field.n"),
+        ({}, "field.kind"),
+    ):
+        cfg = write_config(tmp_path, name="field.json", field=field)
+        assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "usage" in err and key in err and "Error:" not in err, err
+    assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("pt_times", [0, -3])
 def test_pt_times_below_one_exit_1(tmp_path, capsys, pt_times):
@@ -327,6 +338,35 @@ def test_sweep_validity_flag_flips(tmp_path):
     assert rows[1]["validity_grade"] == "invalid"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ({"kind": "fock", "n": 0}, -1, "Fock level must be >= 0, got -1"),
+        ({"kind": "thermal", "mean_n": 0.1}, -0.5, "mean occupation must be >= 0, got -0.5"),
+        (
+            {"kind": "coherent", "amplitude_re": 0.1, "amplitude_im": 0.0},
+            -0.5,
+            "mean_n must be >= 0 (got -0.5)",
+        ),
+    ],
+)
+def test_sweep_negative_mean_recorded_in_row(tmp_path, field, value, message):
+    cfg = write_config(
+        tmp_path,
+        n_atoms=3,
+        delta_over_g=100.0,
+        field=field,
+        sweep={"axis": "mean_n", "values": [value, 0]},
+    )
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
+    header, *lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    # error is the last column, and write_csv leaves the commas of its text unquoted
+    rows = [dict(zip(header.split(","), line.split(",", header.count(",")))) for line in lines]
+    assert rows[0]["error"].startswith("ValueError: ") and message in rows[0]["error"]
+    assert rows[0]["fidelity_subradiant"] == ""
+    assert rows[1]["error"] == "" and float(rows[1]["fidelity_subradiant"]) > 0.99
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -341,53 +381,6 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (tmp_path / "s1" / "sweep.csv").read_bytes() == (
         tmp_path / "s2" / "sweep.csv"
     ).read_bytes()
-
-
-class RecordingPool:
-    """Stand-in for ProcessPoolExecutor that records its size and maps in-process."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize(
-    "jobs, n_points, cpus, expected",
-    [
-        (3, 2, 4, [2]),  # capped by the point count
-        (3, 3, 2, [2]),  # capped by the CPU count
-        (2, 3, 4, [2]),  # as asked
-        (3, 2, 1, []),  # a cap of 1 runs serially
-        (1, 2, 4, []),
-        (2, 2, None, []),  # unknown CPU count counts as one
-    ],
-)
-def test_sweep_workers_capped(tmp_path, monkeypatch, jobs, n_points, cpus, expected):
-    import concurrent.futures
-
-    import subrad.cli as cli
-
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    values = [40, 80, 160][:n_points]
-    cfg = write_config(
-        tmp_path, n_atoms=2, delta_over_g=100.0, sweep={"axis": "delta_ratio", "values": values}
-    )
-    out = tmp_path / "sw"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)]) == 0
-    assert RecordingPool.sizes == expected
-    assert [float(r["value"]) for r in read_csv(out / "sweep.csv")] == values
 
 
 def test_sweep_without_section_exit_1(tmp_path, capsys):
@@ -448,11 +441,16 @@ def test_jobs_only_on_sweep_exit_1(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
-def test_import_leaves_the_pool_and_the_product_basis_unloaded():
-    # The process pool serves only sweeps with more than one worker; the 2^N
+def test_import_leaves_the_pool_and_the_product_basis_unloaded(tmp_path):
+    # A sweep runs its points in the CLI process, --jobs or not; the 2^N
     # product basis is a test oracle, not part of the package.
+    cfg = write_config(
+        tmp_path, n_atoms=2, delta_over_g=100.0, sweep={"axis": "delta_ratio", "values": [40, 80]}
+    )
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"), "--jobs", "2"]
     code = (
         "import sys, subrad.cli; "
+        f"assert subrad.cli.main({argv!r}) == 0; "
         "unwanted = {'concurrent.futures', 'multiprocessing', 'subrad.hilbert'}; "
         "print(sorted(unwanted & set(sys.modules)))"
     )
@@ -461,7 +459,8 @@ def test_import_leaves_the_pool_and_the_product_basis_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert len(read_csv(tmp_path / "sw" / "sweep.csv")) == 2
 
 
 # -- spectrum ----------------------------------------------------------------
