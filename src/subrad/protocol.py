@@ -16,6 +16,7 @@ for negative detuning.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -223,6 +224,39 @@ def fock_components(
     return n_max, components
 
 
+@functools.lru_cache(maxsize=4096)
+def component_outcome(
+    params: SystemParams, n: int, c: int, n_max: int, t_m: float, phi: float, pt_times: int
+) -> tuple[float, float, float, float | None, int]:
+    """Fidelity, dark weight, <J+J->, slow-model error and block size of a component.
+
+    The component starts in |c, 0, n> of block M = n + c under the Fock
+    cutoff n_max, evolves to t_m and takes the phase gate; the slow-model
+    error (None without the control excitation) spans pt_times points of
+    [0, t_m].  Memoized per process: callers pass min(n_max, M) as the
+    cutoff, since a block that fits below the cutoff is the same for every
+    n_max >= M (only |0, 0, M> would lose a coupling at n_max = M, and it
+    has none).
+    """
+    block = compile_propagator(params, n + c, n_max)
+    initial = block.unit_state(c, 0, n)
+    # one-time grid rather than evolve: perfbench's tracer sizes every
+    # dynamics.evolve call by a `state.block_amps` argument
+    (at_t_m,) = evolve_grid(block, initial, [t_m])
+    final = phase_gate(block, at_t_m[0], phi)
+    values = readouts(block, final)
+    pt_error = None
+    if c:
+        pt_error = slow_model_error(block, initial, np.linspace(0.0, t_m, pt_times))
+    return (
+        float(fidelity(block, final)),
+        float(values["p_subradiant"]),
+        float(values["jpjm"]),
+        pt_error,
+        len(block.states),
+    )
+
+
 def run(
     params: SystemParams, field: FieldSpec, options: ProtocolOptions | None = None
 ) -> ProtocolReport:
@@ -231,8 +265,11 @@ def run(
     The field's Fock components run one excitation block at a time, and
     every metric is their weighted sum; the slow-model error is their
     weighted average.  This is exact for every field kind, since nothing in
-    the protocol couples different blocks.  Runs proceed even outside the
-    dispersive regime; the validity grade in the report flags them.
+    the protocol couples different blocks.  Each component's outcome comes
+    from `component_outcome`, so runs in one process that share parameters
+    and Fock levels (a mean_n sweep) compute each block once.  Runs proceed
+    even outside the dispersive regime; the validity grade in the report
+    flags them.
     """
     options = options or ProtocolOptions()
     plan_ = plan(params, branch=options.tm_branch)
@@ -242,30 +279,26 @@ def run(
 
     n_max, components = fock_components(params, field, options)
     c = 1 if options.excite_control else 0
-    times = np.linspace(0.0, plan_.t_m, options.pt_times)
     fid_sum = dark = emission = pt_sum = pt_weight = 0.0
+    max_block_dim = 0
     mixture = []
     for w, n in components:
-        block = compile_propagator(params, n + c, n_max)
-        initial = block.unit_state(c, 0, n)
-        # one-time grid rather than evolve: perfbench's tracer sizes every
-        # dynamics.evolve call by a `state.block_amps` argument
-        (at_t_m,) = evolve_grid(block, initial, [plan_.t_m])
-        final = phase_gate(block, at_t_m[0], phi)
-        values = readouts(block, final)
-        fid = float(fidelity(block, final))
+        fid, dark_n, emission_n, pt_n, dim = component_outcome(
+            params, n, c, min(n_max, n + c), plan_.t_m, phi, options.pt_times
+        )
         fid_sum += w * fid
-        dark += w * float(values["p_subradiant"])
-        emission += w * float(values["jpjm"])
+        dark += w * dark_n
+        emission += w * emission_n
         if options.excite_control:
-            pt_sum += w * slow_model_error(block, initial, times)
+            pt_sum += w * pt_n
             pt_weight += w
+        max_block_dim = max(max_block_dim, dim)
         mixture.append({"weight": w, "n": n, "fidelity_subradiant": fid})
 
     meta = {
         "package_version": __version__,
         "n_max": n_max,
-        "basis_dim": (1 << params.n_atoms) * (n_max + 1),
+        "max_block_dim": max_block_dim,
         "mixture_components": mixture,
     }
     if options.seed is not None:

@@ -2,7 +2,9 @@
 
 Floats are printed with 17 significant digits everywhere, which round-trips
 IEEE doubles bit-faithfully, so emitted JSON and CSV diff cleanly across
-runs and machines.  CSV uses a header row, '.' decimals, UTF-8 and LF.
+runs and machines.  CSV uses a header row, '.' decimals, UTF-8 and LF; a
+cell holding a comma, a double quote or a line break is quoted as in
+RFC 4180 (the quote doubled), and every other cell is written bare.
 """
 
 from __future__ import annotations
@@ -88,5 +90,8 @@ def write_csv(path, columns: Iterable[str], rows: Iterable[dict]) -> None:
                 elif v is None:
                     cells.append("")
                 else:
-                    cells.append(str(v))
+                    text = str(v)
+                    if "," in text or '"' in text or "\n" in text or "\r" in text:
+                        text = '"' + text.replace('"', '""') + '"'
+                    cells.append(text)
             fh.write(",".join(cells) + "\n")

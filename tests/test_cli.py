@@ -1,5 +1,6 @@
 """Command-line interface: configs, exit codes, emitted files."""
 
+import csv
 import json
 import math
 import os
@@ -10,9 +11,12 @@ from pathlib import Path
 import pytest
 
 import subrad
-from subrad.cli import RunConfig, main
+import subrad.cli
+import subrad.protocol
+from subrad import serialize
+from subrad.cli import RunConfig, cmd_sweep, main
 from subrad.fields import FieldSpec
-from subrad.protocol import ProtocolReport
+from subrad.protocol import ProtocolReport, component_outcome
 
 G_HZ = 24000.0
 
@@ -99,7 +103,8 @@ def test_protocol_runs_two_hundred_atoms(tmp_path):
     # in the |c, k, n> basis the dark weight is the target weight, so the two meet up to rounding
     assert 0.0 <= report["fidelity_subradiant"] <= report["dfs_weight"] + 1e-12
     assert report["dfs_weight"] <= 1.0
-    assert report["meta"]["basis_dim"] == 2**200 * (report["meta"]["n_max"] + 1)
+    # block 1 holds |0,0,1>, |0,1,0> and |1,0,0>
+    assert report["meta"]["max_block_dim"] == 3
     rows = read_csv(tmp_path / "o" / "trajectory.csv")
     assert len(rows) == 400
     assert all(float(r["norm_error"]) <= 1e-10 for r in rows)
@@ -274,9 +279,8 @@ def test_seed_flag_overrides_config(tmp_path):
 
 
 def read_csv(path):
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_sweep_detuning_grid(tmp_path):
@@ -359,12 +363,71 @@ def test_sweep_negative_mean_recorded_in_row(tmp_path, field, value, message):
         sweep={"axis": "mean_n", "values": [value, 0]},
     )
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
-    header, *lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
-    # error is the last column, and write_csv leaves the commas of its text unquoted
-    rows = [dict(zip(header.split(","), line.split(",", header.count(",")))) for line in lines]
+    with open(tmp_path / "sw" / "sweep.csv", newline="", encoding="utf-8") as fh:
+        header, *lines = csv.reader(fh)
+    assert {len(line) for line in lines} == {len(header)}
+    rows = [dict(zip(header, line)) for line in lines]
     assert rows[0]["error"].startswith("ValueError: ") and message in rows[0]["error"]
     assert rows[0]["fidelity_subradiant"] == ""
     assert rows[1]["error"] == "" and float(rows[1]["fidelity_subradiant"]) > 0.99
+
+
+def test_write_csv_quotes_cells_with_commas_and_quotes(tmp_path):
+    rows = [
+        {"a": 1, "b": 0.5, "c": "plain"},
+        {"a": 2, "b": None, "c": 'ValueError: bad "x", got -1'},
+        {"a": 3, "b": True, "c": "two\nlines"},
+    ]
+    serialize.write_csv(tmp_path / "t.csv", ("a", "b", "c"), rows)
+    text = (tmp_path / "t.csv").read_text(encoding="utf-8")
+    # cells without a comma, quote or line break stay bare
+    assert text.startswith("a,b,c\n1,0.5,plain\n")
+    assert '2,,"ValueError: bad ""x"", got -1"\n' in text
+    with open(tmp_path / "t.csv", newline="", encoding="utf-8") as fh:
+        read = list(csv.reader(fh))
+    assert read == [
+        ["a", "b", "c"],
+        ["1", "0.5", "plain"],
+        ["2", "", 'ValueError: bad "x", got -1'],
+        ["3", "true", "two\nlines"],
+    ]
+
+
+def test_thermal_mean_n_sweep_compiles_each_fock_block_once(tmp_path, monkeypatch):
+    # the sweep_thermal benchmark config: 8 thermal points share 15 photon numbers
+    values = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4]
+    raw = {
+        "n_atoms": 8,
+        "g_over_2pi_hz": G_HZ,
+        "delta_over_g": 100.0,
+        "field": {"kind": "thermal", "mean_n": values[0]},
+        "sweep": {"axis": "mean_n", "values": values},
+    }
+    fields = [FieldSpec.thermal(v) for v in values]
+    levels = [n for f in fields for _, n in f.components(f.required_n_max(8))]
+    assert (len(levels), len(set(levels))) == (90, 15)
+
+    compile_propagator = subrad.protocol.compile_propagator
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compile_propagator(*args)
+
+    monkeypatch.setattr(subrad.protocol, "compile_propagator", counted)
+    assert cmd_sweep(RunConfig.from_json(raw), tmp_path / "warm") == 0
+    assert len(calls) == len(set(levels))
+
+    def cold_run(*args):
+        component_outcome.cache_clear()
+        return subrad.protocol.run(*args)
+
+    monkeypatch.setattr(subrad.cli, "run", cold_run)
+    calls.clear()
+    assert cmd_sweep(RunConfig.from_json(raw), tmp_path / "cold") == 0
+    assert len(calls) == len(levels)
+    warm = (tmp_path / "warm" / "sweep.csv").read_bytes()
+    assert warm == (tmp_path / "cold" / "sweep.csv").read_bytes()
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

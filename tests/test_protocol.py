@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from product.dynamics import compile_propagator, evolve, marginal_projected_weight, reduce_atomic
 from product.hilbert import (
@@ -16,6 +18,7 @@ from product.hilbert import (
 )
 from product.model import collective_operator
 from product.protocol import dfs_weight, phase_gate
+from subrad import dynamics
 from subrad.fields import FieldSpec, TruncationError
 from subrad.model import SystemParams
 from subrad.perturb import effective_product_vector
@@ -24,6 +27,7 @@ from subrad.protocol import (
     ProtocolOptions,
     ProtocolReport,
     TruncationRefusal,
+    component_outcome,
     plan,
     run,
 )
@@ -284,11 +288,14 @@ def test_run_coherent_matches_superposition_oracle(n_atoms, amplitude, control_i
     "field", [FieldSpec.fock(1), FieldSpec.coherent(0.5j), FieldSpec.thermal(0.2)]
 )
 def test_run_meta_has_one_shape(field):
-    rep = run(ratio_params(3), field)
+    params = ratio_params(3)
+    rep = run(params, field)
     meta = rep.meta
-    assert set(meta) == {"package_version", "n_max", "basis_dim", "mixture_components"}
-    assert meta["basis_dim"] == (1 << 3) * (meta["n_max"] + 1)
+    assert set(meta) == {"package_version", "n_max", "max_block_dim", "mixture_components"}
     comps = meta["mixture_components"]
+    blocks = [dynamics.compile_propagator(params, c["n"] + 1, meta["n_max"]) for c in comps]
+    dims = [len(block.states) for block in blocks]
+    assert meta["max_block_dim"] == max(dims) <= 2 * 3
     assert [(c["weight"], c["n"]) for c in comps] == field.components(meta["n_max"])
     recombined = sum(c["weight"] * c["fidelity_subradiant"] for c in comps)
     assert rep.fidelity_subradiant == pytest.approx(recombined, abs=1e-12)
@@ -320,3 +327,41 @@ def test_report_round_trip_and_invariant():
         bad = rep.to_dict()
         bad["fidelity_subradiant"] = bad["dfs_weight"] + 1e-3
         ProtocolReport.from_dict(bad)
+
+
+# -- per-process reuse of component outcomes -------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_atoms=st.integers(2, 30),
+    ratio=st.floats(10.0, 1000.0),
+    m_total=st.integers(0, 25),
+    extra=st.integers(0, 10),
+)
+def test_block_below_the_cutoff_does_not_depend_on_it(n_atoms, ratio, m_total, extra):
+    # the memo of protocol.run keys a block M by min(n_max, M), which needs this
+    params = ratio_params(n_atoms, ratio)
+    tight = dynamics.compile_propagator(params, m_total, m_total)
+    loose = dynamics.compile_propagator(params, m_total, m_total + extra)
+    assert np.array_equal(tight.states, loose.states)
+    assert np.array_equal(tight.eigenvalues, loose.eigenvalues)
+    assert np.array_equal(tight.eigenvectors, loose.eigenvectors)
+
+
+def test_clipped_last_component_same_with_cold_and_warm_cache():
+    params, field = ratio_params(3), FieldSpec.coherent(1.0)
+    options = ProtocolOptions(n_max=11)
+    cold = run(params, field, options)
+    last = cold.meta["mixture_components"][-1]
+    # component n=11 starts in block 12, above the cutoff, with weight below the refusal limit
+    assert last["n"] == 11 and 0.0 < last["weight"] <= 1e-8
+    plan_ = plan(params)
+    clipped = component_outcome(params, 11, 1, 11, plan_.t_m, plan_.phi, 101)
+    unclipped = component_outcome(params, 11, 1, 12, plan_.t_m, plan_.phi, 101)
+    assert last["fidelity_subradiant"] == clipped[0] != unclipped[0]
+    # a run with a higher cutoff caches block 12 unclipped; the clipped run must not reuse it
+    run(params, field, ProtocolOptions(n_max=12))
+    warm = run(params, field, options)
+    assert component_outcome.cache_info().currsize == 14
+    assert warm.to_dict() == cold.to_dict()
