@@ -9,12 +9,11 @@ from .dynamics import (
     compile_propagator,
     evolve,
     spectrum,
-    trajectory_rows,
 )
 from .perturb import (
     EffectiveModel,
     closed_form_corrections,
-    effective_evolve,
+    slow_amplitudes,
     slow_model_error,
     validity_parameter,
 )
@@ -26,6 +25,7 @@ from .protocol import (
     phase_gate,
     plan,
     run,
+    trajectory,
 )
 
 __all__ = [
@@ -38,14 +38,14 @@ __all__ = [
     "SystemParams",
     "closed_form_corrections",
     "compile_propagator",
-    "effective_evolve",
     "evolve",
     "fidelity",
     "phase_gate",
     "plan",
     "run",
+    "slow_amplitudes",
     "slow_model_error",
     "spectrum",
-    "trajectory_rows",
+    "trajectory",
     "validity_parameter",
 ]

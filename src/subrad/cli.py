@@ -29,12 +29,11 @@ from .dynamics import (  # noqa: F401
     compile_propagator,
     default_trajectory_times,
     spectrum,
-    trajectory_rows,
 )
 from .fields import FIELD_KINDS, FieldSpec
 from .model import SystemParams
 from .perturb import closed_form_corrections, validity_parameter, validity_grade
-from .protocol import NoSubradiantSectorError, ProtocolOptions, fock_components, run
+from .protocol import NoSubradiantSectorError, ProtocolOptions, run, trajectory
 
 TWO_PI = 2.0 * math.pi
 
@@ -227,16 +226,6 @@ def _load_config(path: str) -> RunConfig:
     return RunConfig.from_json(obj)
 
 
-def _trajectory(config: RunConfig, params: SystemParams, times: np.ndarray) -> list[dict]:
-    """Trajectory rows from the initial state that protocol.run prepares.
-
-    Every column is the weighted sum over the field's Fock components,
-    which is the exact mixture average for every field kind.
-    """
-    n_max, components = fock_components(params, config.field, config.options)
-    return trajectory_rows(params, n_max, components, config.options.excite_control, times)
-
-
 # ---------------------------------------------------------------------------
 # protocol
 # ---------------------------------------------------------------------------
@@ -259,7 +248,8 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
         {"config": config.raw, "report": report.to_dict()}, out_dir / "report.json"
     )
 
-    rows = _trajectory(config, params, default_trajectory_times(params, config.points))
+    times = default_trajectory_times(params, config.points)
+    rows = trajectory(params, config.field, config.options, times)
     serialize.write_csv(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, rows)
     print(
         f"t_m = {report.t_m_microseconds:.6g} us, "
@@ -407,8 +397,9 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
     n_max = config.options.n_max
     if n_max is None:
         n_max = sector_n + nn + 4
-    if not 0 <= sector_n <= nn + n_max:
-        raise ConfigError(f"block {sector_n} out of range for this basis")
+    if not 1 <= sector_n <= nn + n_max:
+        # block 0 (photons -1) holds no single excitation
+        raise ConfigError(f"block {sector_n} out of range 1..{nn + n_max}")
 
     # Free levels of the block: e excited atoms and M - e photons, comb(N, e) states each.
     free = {
@@ -424,20 +415,15 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
         )
     eigenvalues = spectrum(params, sector_n, n_max, h0_only)
 
-    # Slow-model level set: shifted degenerate sector plus unshifted free
-    # levels, as (value, label, count) in ascending order.
-    e0 = float(
-        params.omega_a * (1 - nn / 2.0) + params.omega_c * (sector_n - 1)
-    )
+    # Slow-model level set, as (value, label, count) in ascending order: the
+    # shifted degenerate sector (e = 1) and the unshifted free levels, one
+    # per e since omega_a != omega_c.
+    e0 = params.omega_a * (1 - nn / 2.0) + params.omega_c * (sector_n - 1)
     corrections = closed_form_corrections(params, sector_n)
     de1 = 0.0 if h0_only else corrections.delta_e1
     dei = 0.0 if h0_only or corrections.delta_ei is None else corrections.delta_ei
     levels = [(e0 + de1, "delta_e1", 1), (e0 + dei, "delta_ei", nn - 1)]
-    for val in sorted(set(free.values())):
-        if abs(val - e0) > 1e-9 * max(abs(e0), abs(params.delta)):
-            k = 1 + round((e0 - val) / params.delta)  # E(k) = E0 - (k-1) delta
-            count = sum(math.comb(nn, e) for e, v in free.items() if abs(v - val) < 1e-6)
-            levels.append((val, f"free_k{k}", count))
+    levels += [(val, f"free_k{e}", math.comb(nn, e)) for e, val in free.items() if e != 1]
     levels.sort(key=lambda lv: lv[0])
 
     scale = 2.0 * abs(params.alpha)
@@ -480,7 +466,7 @@ def cmd_evolve(config: RunConfig, out_dir: Path) -> int:
     else:
         times = np.linspace(0.0, config.t_final_seconds, config.points)
 
-    rows = _trajectory(config, params, times)
+    rows = trajectory(params, config.field, config.options, times)
     out_dir.mkdir(parents=True, exist_ok=True)
     serialize.write_csv(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, rows)
     print(f"wrote {len(rows)} trajectory samples")

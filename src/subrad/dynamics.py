@@ -225,34 +225,6 @@ def readouts(block: Block, amps: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def trajectory_rows(
-    params: SystemParams,
-    n_max: int,
-    components: list[tuple[float, int]],
-    excited: bool,
-    times,
-) -> list[dict[str, float]]:
-    """Populations, dark weight, <J+J-> and norm drift along exp(-iHt).
-
-    Component (p_n, n) starts from |1, 0, n> (|0, 0, n> when not `excited`);
-    every column is the p_n-weighted sum, which is the mixture average.  The
-    components' blocks are compiled one at a time.
-    """
-    times = np.asarray(times, dtype=float)
-    c = 1 if excited else 0
-    total = 0.0
-    for w, n in components:
-        block = compile_propagator(params, n + c, n_max)
-        psi = block.unit_state(c, 0, n)
-        values = [np.empty((0, len(TRAJECTORY_COLUMNS) - 1))]
-        for amps in evolve_grid(block, psi, times):
-            cols = readouts(block, amps)
-            values.append(np.column_stack([cols[k] for k in TRAJECTORY_COLUMNS[1:]]))
-        total = total + w * np.concatenate(values)
-    table = np.column_stack([times, total]).tolist()
-    return [dict(zip(TRAJECTORY_COLUMNS, row)) for row in table]
-
-
 def default_trajectory_times(params: SystemParams, points: int = 400) -> np.ndarray:
     """Uniform grid over one slow period [0, 2 pi / alpha]."""
     return np.linspace(0.0, 2.0 * np.pi / abs(params.alpha), points)

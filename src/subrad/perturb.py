@@ -33,8 +33,6 @@ from .model import SystemParams
 class EffectiveModel:
     """Closed-form second-order corrections and the slow rate (rad/s)."""
 
-    n_atoms: int
-    n: int
     delta_e1: float
     delta_ei: float | None  # absent for a single atom
     alpha: float
@@ -55,59 +53,29 @@ def closed_form_corrections(params: SystemParams, n: int) -> EffectiveModel:
     shift = params.g**2 / params.delta
     de1 = shift * (nn * n - 2 * nn - 2 * n + 2)
     dei = de1 + nn * shift if nn >= 2 else None
-    return EffectiveModel(
-        n_atoms=nn, n=n, delta_e1=de1, delta_ei=dei, alpha=params.alpha
-    )
+    return EffectiveModel(delta_e1=de1, delta_ei=dei, alpha=params.alpha)
 
 
 # ---------------------------------------------------------------------------
-# Effective slow evolution of the two-component expansion
+# Effective slow evolution from the control-excited state
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EffectiveCoefficients:
-    """Slow-evolution coefficients at one time, or arrays over a time grid.
+def slow_amplitudes(params: SystemParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """Slow-model amplitudes of the control-excited and of each other configuration.
 
-    (c_symmetric, c_subradiant) is the two-component form with the dark
-    coefficient held real positive; (c_control, c_other) are the product
-    amplitudes on the control-excited and each remaining single-excitation
-    configuration, in the gauge with c_control real at t=0.  The two forms
-    differ by the global phase exp(i alpha t).
+    Starting from the control atom excited (N >= 2 atoms), the
+    single-excitation amplitude on the control atom is
+    (N cos(alpha t) - i (N-2) sin(alpha t)) / N and on each other atom
+    2i sin(alpha t) / N, both times exp(i alpha t), the gauge in which the
+    dark component is real positive.  t may be an array.
     """
-
-    c_symmetric: complex
-    c_subradiant: complex
-    c_control: complex
-    c_other: complex
-
-
-def effective_evolve(params: SystemParams, t) -> EffectiveCoefficients:
-    """Slow evolution of the one-excited-atom initial state under the shifts."""
     nn = params.n_atoms
-    if nn < 2:
-        raise ValueError("the two-component expansion needs at least two atoms")
     at = params.alpha * np.asarray(t, dtype=float)
-    return EffectiveCoefficients(
-        c_symmetric=np.exp(2j * at) / sqrt(nn),
-        c_subradiant=complex(sqrt((nn - 1) / nn)),
-        c_control=(nn * np.cos(at) - 1j * (nn - 2) * np.sin(at)) / nn,
-        c_other=2j * np.sin(at) / nn,
-    )
-
-
-def effective_product_vector(params: SystemParams, t) -> np.ndarray:
-    """Predicted single-excitation amplitudes, dark component real positive.
-
-    Entry k (last axis; leading axes follow an array t) is the amplitude on
-    the configuration with only atom k excited, the control atom being
-    atom 0; the gauge matches what exact/effective comparisons align to.
-    """
-    co = effective_evolve(params, t)
-    phase = np.exp(1j * params.alpha * np.asarray(t, dtype=float))
-    vec = np.repeat((phase * co.c_other)[..., None], params.n_atoms, axis=-1)
-    vec[..., 0] = phase * co.c_control
-    return vec
+    phase = np.exp(1j * at)
+    control = (nn * np.cos(at) - 1j * (nn - 2) * np.sin(at)) / nn
+    other = 2j * np.sin(at) / nn
+    return phase * control, phase * other
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +118,7 @@ def slow_model_error(block: Block, psi: np.ndarray, times) -> float:
     The single-excitation amplitudes of exp(-iHt) psi are taken at each
     time, globally phased so the dark-target component is real positive
     (the gauge of the slow model), and compared entry by entry with
-    `effective_product_vector`.  The deviation at each time is normalized by
+    `slow_amplitudes`.  The deviation at each time is normalized by
     the largest predicted amplitude, which keeps the measure finite where
     individual coefficients pass through zero; the maximum over the grid is
     returned.  Every non-control atom carries psi01 / sqrt(N-1), so two
@@ -167,6 +135,6 @@ def slow_model_error(block: Block, psi: np.ndarray, times) -> float:
     exact[:, 1] /= sqrt(nn - 1)
     dark = (nn - 1) * (exact[:, 0] - exact[:, 1]) / sqrt(nn * (nn - 1))
     exact *= np.divide(np.abs(dark), dark, out=np.ones_like(dark), where=dark != 0)[:, None]
-    predicted = effective_product_vector(block.params, times)[:, :2]
+    predicted = np.stack(slow_amplitudes(block.params, times), axis=-1)
     dev = np.max(np.abs(exact - predicted), axis=1) / np.max(np.abs(predicted), axis=1)
     return float(np.max(dev))

@@ -18,13 +18,14 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
 from . import __version__
 # evolve is imported only for perfbench/selftest.py's tracer check
 from .dynamics import (  # noqa: F401
+    TRAJECTORY_COLUMNS,
     Block,
     compile_propagator,
     evolve,
@@ -32,7 +33,7 @@ from .dynamics import (  # noqa: F401
     readouts,
     single_excitation_pair,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, TruncationError
 from .model import SystemParams
 from .perturb import closed_form_corrections, slow_model_error, validity_grade, validity_parameter
 
@@ -51,47 +52,31 @@ class TruncationRefusal(RuntimeError):
 class ProtocolPlan:
     """Matching time and control-atom phase for one parameter set."""
 
-    params: SystemParams
     t_m: float  # seconds
     phi: float  # radians, signed
-    branch: int
-
-    @property
-    def alpha_t_m(self) -> float:
-        return self.params.alpha * self.t_m
-
-
-def matching_sine(n_atoms: int) -> float:
-    """sin(alpha t_m) = sqrt(N / (4N - 4)) for the first matching time."""
-    if n_atoms < 2:
-        raise NoSubradiantSectorError("no subradiant sector for a single atom")
-    return math.sqrt(n_atoms / (4.0 * n_atoms - 4.0))
-
-
-def control_phase(n_atoms: int) -> float:
-    """First-quadrant phase with cos = (N-2)/(2N-2), sin = sqrt(N(3N-4))/(2N-2)."""
-    if n_atoms < 2:
-        raise NoSubradiantSectorError("no subradiant sector for a single atom")
-    cos_phi = (n_atoms - 2.0) / (2.0 * n_atoms - 2.0)
-    sin_phi = math.sqrt(n_atoms * (3.0 * n_atoms - 4.0)) / (2.0 * n_atoms - 2.0)
-    return math.atan2(sin_phi, cos_phi)
 
 
 def plan(params: SystemParams, branch: int = 0) -> ProtocolPlan:
     """Pick the branch-th positive matching time and its control phase.
 
-    Branch 0 is the smallest positive solution; odd branches sit on the
-    descending lobe of the sine, where the required phase changes sign.
+    Branch 0 is the smallest positive solution of the matching condition in
+    the module docstring; odd branches sit on the descending lobe of the
+    sine, where the required phase changes sign.
     """
     if branch < 0:
         raise ValueError(f"branch must be >= 0, got {branch}")
-    theta = math.asin(matching_sine(params.n_atoms))
+    nn = params.n_atoms
+    if nn < 2:
+        raise NoSubradiantSectorError("no subradiant sector for a single atom")
+    theta = math.asin(math.sqrt(nn / (4.0 * nn - 4.0)))
     cycle, odd = divmod(branch, 2)
     angle = 2.0 * math.pi * cycle + (math.pi - theta if odd else theta)
     t_m = angle / abs(params.alpha)
+    cos_phi = (nn - 2.0) / (2.0 * nn - 2.0)
+    sin_phi = math.sqrt(nn * (3.0 * nn - 4.0)) / (2.0 * nn - 2.0)
     sign = 1.0 if params.alpha > 0 else -1.0
-    phi = sign * (-1.0 if odd else 1.0) * control_phase(params.n_atoms)
-    return ProtocolPlan(params=params, t_m=t_m, phi=phi, branch=branch)
+    phi = sign * (-1.0 if odd else 1.0) * math.atan2(sin_phi, cos_phi)
+    return ProtocolPlan(t_m=t_m, phi=phi)
 
 
 def phase_gate(block: Block, psi: np.ndarray, phi: float) -> np.ndarray:
@@ -125,13 +110,19 @@ class ProtocolOptions:
 
 @dataclass
 class ProtocolReport:
-    """Timings, fidelities, dark-subspace weights and diagnostics for one run."""
+    """Timings, fidelities, dark-subspace weights and diagnostics for one run.
+
+    The fields are the keys of report.json, in its order.
+    """
 
     n_atoms: int
     g_rad_s: float
+    g_over_2pi_hz: float
     delta_rad_s: float
+    delta_over_2pi_hz: float
     alpha_per_s: float
     t_m_seconds: float
+    t_m_microseconds: float
     phi_radians: float
     tm_branch: int
     field: dict
@@ -153,53 +144,23 @@ class ProtocolReport:
                 f"fidelity={self.fidelity_subradiant}, dfs={self.dfs_weight}"
             )
 
-    @property
-    def t_m_microseconds(self) -> float:
-        return self.t_m_seconds * 1e6
-
     def to_dict(self) -> dict:
-        return {
-            "n_atoms": self.n_atoms,
-            "g_rad_s": self.g_rad_s,
-            "g_over_2pi_hz": self.g_rad_s / (2.0 * math.pi),
-            "delta_rad_s": self.delta_rad_s,
-            "delta_over_2pi_hz": self.delta_rad_s / (2.0 * math.pi),
-            "alpha_per_s": self.alpha_per_s,
-            "t_m_seconds": self.t_m_seconds,
-            "t_m_microseconds": self.t_m_microseconds,
-            "phi_radians": self.phi_radians,
-            "tm_branch": self.tm_branch,
-            "field": dict(self.field),
-            "fidelity_subradiant": self.fidelity_subradiant,
-            "dfs_weight": self.dfs_weight,
-            "emission_expectation": self.emission_expectation,
-            "validity": self.validity,
-            "validity_grade": self.validity_grade,
-            "pt_coefficient_error": self.pt_coefficient_error,
-            "perturbation": dict(self.perturbation),
-            "meta": dict(self.meta),
-        }
+        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ProtocolReport":
-        return cls(
-            n_atoms=obj["n_atoms"],
-            g_rad_s=obj["g_rad_s"],
-            delta_rad_s=obj["delta_rad_s"],
-            alpha_per_s=obj["alpha_per_s"],
-            t_m_seconds=obj["t_m_seconds"],
-            phi_radians=obj["phi_radians"],
-            tm_branch=obj["tm_branch"],
-            field=obj["field"],
-            fidelity_subradiant=obj["fidelity_subradiant"],
-            dfs_weight=obj["dfs_weight"],
-            emission_expectation=obj["emission_expectation"],
-            validity=obj["validity"],
-            validity_grade=obj["validity_grade"],
-            pt_coefficient_error=obj["pt_coefficient_error"],
-            perturbation=obj["perturbation"],
-            meta=obj.get("meta", {}),
-        )
+
+def _fit(field: FieldSpec, c: int, n_max: int) -> list | Exception:
+    """The field's weights [(p_n, n)] if the cutoff n_max runs them, else the refusal."""
+    try:
+        components = field.components(n_max)
+    except TruncationError as exc:
+        return exc
+    for w, n in components:
+        if n + c > n_max and w > TRUNCATION_WEIGHT_LIMIT:
+            return TruncationRefusal(
+                f"initial state carries weight {w:.3e} on the clipped block M={n + c} "
+                f"(n_max={n_max})"
+            )
+    return components
 
 
 def fock_components(
@@ -207,21 +168,30 @@ def fock_components(
 ) -> tuple[int, list[tuple[float, int]]]:
     """The Fock cutoff and the field's photon-number weights [(p_n, n)].
 
-    Component n starts with the control atom excited (or every atom in the
-    ground state) and n photons, in excitation block n+1 (or n).  Refused if
-    a component heavier than TRUNCATION_WEIGHT_LIMIT sits on a block clipped
-    by the Fock cutoff.
+    Component n starts in |c, 0, n> of block n + c, c = 1 when the control
+    atom is excited.  A cutoff is refused if the field does not fit under it
+    (TruncationError) or if it clips a block of a component heavier than
+    TRUNCATION_WEIGHT_LIMIT (TruncationRefusal).  Either message names the
+    smallest cutoff that runs.  It is searched upward from the refused one,
+    as a higher cutoff only lowers the clipped weights, up to the default
+    cutoff, which any field that fits some cutoff also fits (a coherent
+    field with a mean above about 1450 underflows and fits none).
     """
     n_max = options.n_max if options.n_max is not None else field.required_n_max(params.n_atoms)
-    components = field.components(n_max)
-    for w, n in components:
-        m = n + 1 if options.excite_control else n
-        if m > n_max and w > TRUNCATION_WEIGHT_LIMIT:
-            raise TruncationRefusal(
-                f"initial state carries weight {w:.3e} on the clipped block M={m} "
-                f"(n_max={n_max}); raise the Fock cutoff"
-            )
+    c = 1 if options.excite_control else 0
+    components = _fit(field, c, n_max)
+    if isinstance(components, Exception):
+        top = max(n_max, field.required_n_max(params.n_atoms))
+        fits = (m for m in range(n_max + 1, top + 1) if isinstance(_fit(field, c, m), list))
+        need = next((f"this run needs n_max >= {m}" for m in fits), f"no n_max up to {top} runs it")
+        raise type(components)(f"{components}; {need}")
     return n_max, components
+
+
+def _start(params: SystemParams, n: int, c: int, n_max: int) -> tuple[Block, np.ndarray]:
+    """Block n + c under the Fock cutoff n_max and component n's initial state |c, 0, n>."""
+    block = compile_propagator(params, n + c, n_max)
+    return block, block.unit_state(c, 0, n)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -230,16 +200,14 @@ def component_outcome(
 ) -> tuple[float, float, float, float | None, int]:
     """Fidelity, dark weight, <J+J->, slow-model error and block size of a component.
 
-    The component starts in |c, 0, n> of block M = n + c under the Fock
-    cutoff n_max, evolves to t_m and takes the phase gate; the slow-model
-    error (None without the control excitation) spans pt_times points of
-    [0, t_m].  Memoized per process: callers pass min(n_max, M) as the
-    cutoff, since a block that fits below the cutoff is the same for every
-    n_max >= M (only |0, 0, M> would lose a coupling at n_max = M, and it
-    has none).
+    The component starts as `_start` sets it up, evolves to t_m and takes the
+    phase gate; the slow-model error (None without the control excitation)
+    spans pt_times points of [0, t_m].  Memoized per process: callers pass
+    min(n_max, n + c) as the cutoff, since a block M that fits below the
+    cutoff is the same for every n_max >= M (only |0, 0, M> would lose a
+    coupling at n_max = M, and it has none).
     """
-    block = compile_propagator(params, n + c, n_max)
-    initial = block.unit_state(c, 0, n)
+    block, initial = _start(params, n, c, n_max)
     # one-time grid rather than evolve: perfbench's tracer sizes every
     # dynamics.evolve call by a `state.block_amps` argument
     (at_t_m,) = evolve_grid(block, initial, [t_m])
@@ -255,6 +223,30 @@ def component_outcome(
         pt_error,
         len(block.states),
     )
+
+
+def trajectory(
+    params: SystemParams, field: FieldSpec, options: ProtocolOptions, times
+) -> list[dict[str, float]]:
+    """TRAJECTORY_COLUMNS along exp(-iHt) from the initial state that `run` prepares.
+
+    Every column is the p_n-weighted sum over the field's Fock components,
+    which is the exact mixture average for every field kind; the components'
+    blocks are compiled one at a time.
+    """
+    times = np.asarray(times, dtype=float)
+    n_max, components = fock_components(params, field, options)
+    c = 1 if options.excite_control else 0
+    total = 0.0
+    for w, n in components:
+        block, initial = _start(params, n, c, n_max)
+        values = [np.empty((0, len(TRAJECTORY_COLUMNS) - 1))]
+        for amps in evolve_grid(block, initial, times):
+            cols = readouts(block, amps)
+            values.append(np.column_stack([cols[k] for k in TRAJECTORY_COLUMNS[1:]]))
+        total = total + w * np.concatenate(values)
+    table = np.column_stack([times, total]).tolist()
+    return [dict(zip(TRAJECTORY_COLUMNS, row)) for row in table]
 
 
 def run(
@@ -311,9 +303,12 @@ def run(
     return ProtocolReport(
         n_atoms=params.n_atoms,
         g_rad_s=params.g,
+        g_over_2pi_hz=params.g / (2.0 * math.pi),
         delta_rad_s=params.delta,
+        delta_over_2pi_hz=params.delta / (2.0 * math.pi),
         alpha_per_s=params.alpha,
         t_m_seconds=plan_.t_m,
+        t_m_microseconds=plan_.t_m * 1e6,
         phi_radians=phi,
         tm_branch=options.tm_branch,
         field=field.describe(),

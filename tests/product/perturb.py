@@ -88,9 +88,15 @@ def second_order_matrix(
 
 
 def effective_product_vector(params: SystemParams, t, control_index: int = 0) -> np.ndarray:
-    """`subrad.perturb.effective_product_vector` with the control atom at `control_index`."""
-    vec = perturb.effective_product_vector(params, t)
-    vec[..., [0, control_index]] = vec[..., [control_index, 0]]
+    """Slow-model single-excitation amplitudes from `subrad.perturb.slow_amplitudes`.
+
+    Entry k (last axis; leading axes follow an array t) is the amplitude on
+    the configuration with only atom k excited, the control atom being atom
+    `control_index`; the dark component is real positive.
+    """
+    control, other = perturb.slow_amplitudes(params, t)
+    vec = np.repeat(np.asarray(other)[..., None], params.n_atoms, axis=-1)
+    vec[..., control_index] = control
     return vec
 
 

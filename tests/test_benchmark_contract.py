@@ -1,9 +1,10 @@
 """What the benchmark in perfbench/ needs of the package.
 
 perfbench/tracer.py wraps every public subrad function and sums self time per
-module, and perfbench/selftest.py checks that the wrappers reach the names
-that protocol, perturb and cli import from dynamics.  These tests make a
-change that breaks either contract fail here, not only in the benchmark.
+module, perfbench/selftest.py checks that the wrappers reach the names that
+protocol, perturb and cli import from dynamics, and perfbench/reference/
+holds outputs in the layout of the CLI.  These tests make a change that
+breaks any of these contracts fail here, not only in the benchmark.
 """
 
 import importlib.util
@@ -19,8 +20,10 @@ import subrad.cli
 import subrad.dynamics
 import subrad.perturb
 import subrad.protocol
+from subrad.cli import RunConfig
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture
@@ -52,3 +55,12 @@ def test_summarize_takes_a_span_of_every_traced_function(tracer, tmp_path):
     (tmp_path / "spans-1.jsonl").write_text("".join(json.dumps(s) + "\n" for s in spans))
     out = tracer.summarize(tmp_path, 1)
     assert out["dynamics.compile_propagator.calls"] == 1
+
+
+def test_report_keys_in_the_reference_order():
+    path = PERFBENCH / "reference" / "protocol_fock" / "report.json"
+    reference = json.loads(path.read_text(encoding="utf-8"))
+    config = RunConfig.from_json(reference["config"])
+    report = subrad.protocol.run(config.params(), config.field, config.options).to_dict()
+    assert list(report) == list(reference["report"])
+    assert list(report["perturbation"]) == list(reference["report"]["perturbation"])

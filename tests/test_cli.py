@@ -38,7 +38,7 @@ def test_protocol_rydberg_defaults(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
-    report = ProtocolReport.from_dict(payload["report"])
+    report = ProtocolReport(**payload["report"])
     assert report.t_m_microseconds == pytest.approx(22.0, abs=0.5)
     assert report.alpha_per_s == pytest.approx(2.51e4, abs=0.02e4)
     assert report.fidelity_subradiant > 0.97
@@ -581,6 +581,25 @@ def test_spectrum_refuses_more_rows_than_it_can_hold(tmp_path, capsys):
     assert not (tmp_path / "sp").exists()
 
 
+@pytest.mark.parametrize(
+    "spectrum, options, message",
+    [
+        # block 0 holds no single excitation; its default cutoff is 0 + N + 4
+        ({"block": 0}, {}, "block 0 out of range 1..10"),
+        ({"photons": -1}, {}, "block 0 out of range 1..10"),
+        ({"block": 9}, {"n_max": 5}, "block 9 out of range 1..8"),
+    ],
+)
+def test_spectrum_block_outside_one_to_n_plus_n_max_exit_1(
+    tmp_path, capsys, spectrum, options, message
+):
+    cfg = write_config(tmp_path, n_atoms=3, spectrum=spectrum, options=options)
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "sp")]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and message in err, err
+    assert not (tmp_path / "sp").exists()
+
+
 # -- evolve --------------------------------------------------------------------
 
 
@@ -633,7 +652,8 @@ def test_evolve_refuses_clipped_fock_block(tmp_path, capsys):
     for command in ("protocol", "evolve"):
         out = tmp_path / command
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-        assert "TruncationRefusal" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "TruncationRefusal" in err and "this run needs n_max >= 4" in err, err
         assert not (out / "trajectory.csv").exists()
 
 

@@ -21,7 +21,7 @@ from product.perturb import (
 from subrad.model import SystemParams
 from subrad.perturb import (
     closed_form_corrections,
-    effective_evolve,
+    slow_amplitudes,
     validity_grade,
     validity_parameter,
 )
@@ -130,19 +130,21 @@ def test_alpha_is_bit_identical_across_n():
 
 def test_effective_evolve_initial_expansion():
     p = ratio_params(7)
-    co = effective_evolve(p, 0.0)
-    assert co.c_symmetric == pytest.approx(1 / math.sqrt(7))
-    assert co.c_subradiant == pytest.approx(math.sqrt(6 / 7))
-    assert co.c_control == pytest.approx(1.0)
-    assert co.c_other == pytest.approx(0.0)
+    control, other = slow_amplitudes(p, 0.0)
+    assert control == pytest.approx(1.0)
+    assert other == pytest.approx(0.0)
+    # the control-excited state is 1/sqrt(N) symmetric and sqrt((N-1)/N) dark
+    vec = effective_product_vector(p, 0.0)
+    assert np.sum(vec) / math.sqrt(7) == pytest.approx(1 / math.sqrt(7))
+    assert np.vdot(subradiant_target_vector(7), vec) == pytest.approx(math.sqrt(6 / 7))
 
 
 def test_effective_evolve_half_period_two_atoms():
     p = ratio_params(2)
     t = (math.pi / 2) / p.alpha
-    co = effective_evolve(p, t)
-    assert abs(co.c_control) < 1e-12
-    assert abs(co.c_other) == pytest.approx(1.0)
+    control, other = slow_amplitudes(p, t)
+    assert abs(control) < 1e-12
+    assert abs(other) == pytest.approx(1.0)
 
 
 @given(
@@ -152,8 +154,8 @@ def test_effective_evolve_half_period_two_atoms():
 @settings(max_examples=60, deadline=None)
 def test_effective_coefficients_normalized(n_atoms, at):
     p = ratio_params(n_atoms)
-    co = effective_evolve(p, at / p.alpha)
-    total = abs(co.c_control) ** 2 + (n_atoms - 1) * abs(co.c_other) ** 2
+    control, other = slow_amplitudes(p, at / p.alpha)
+    total = abs(control) ** 2 + (n_atoms - 1) * abs(other) ** 2
     assert total == pytest.approx(1.0, abs=1e-12)
     vec = effective_product_vector(p, at / p.alpha)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)

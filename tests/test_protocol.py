@@ -1,6 +1,7 @@
 """Timing plan, phase gate, and the end-to-end preparation run."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from product.hilbert import (
     symmetric_state,
 )
 from product.model import collective_operator
+from product.perturb import effective_product_vector
 from product.protocol import dfs_weight, phase_gate
 from subrad import dynamics
 from subrad.fields import FieldSpec, TruncationError
 from subrad.model import SystemParams
-from subrad.perturb import effective_product_vector
 from subrad.protocol import (
     NoSubradiantSectorError,
     ProtocolOptions,
@@ -43,21 +44,24 @@ def ratio_params(n_atoms, ratio=100.0):
 
 
 def test_plan_two_atoms():
-    pl = plan(ratio_params(2))
-    assert pl.alpha_t_m == pytest.approx(math.pi / 4, abs=1e-12)
+    p = ratio_params(2)
+    pl = plan(p)
+    assert p.alpha * pl.t_m == pytest.approx(math.pi / 4, abs=1e-12)
     assert pl.phi == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_plan_rydberg_point():
-    pl = plan(SystemParams.from_detuning_ratio(10, G, 30.0))
+    p = SystemParams.from_detuning_ratio(10, G, 30.0)
+    pl = plan(p)
     assert pl.t_m == pytest.approx(22e-6, abs=0.5e-6)
-    assert math.sin(pl.alpha_t_m) == pytest.approx(math.sqrt(10 / 36), abs=1e-12)
+    assert math.sin(p.alpha * pl.t_m) == pytest.approx(math.sqrt(10 / 36), abs=1e-12)
 
 
 @pytest.mark.parametrize("n_atoms", range(2, 13))
 def test_plan_invariants(n_atoms):
-    pl = plan(ratio_params(n_atoms))
-    assert math.sin(pl.alpha_t_m) == pytest.approx(
+    p = ratio_params(n_atoms)
+    pl = plan(p)
+    assert math.sin(p.alpha * pl.t_m) == pytest.approx(
         math.sqrt(n_atoms / (4 * n_atoms - 4)), abs=1e-12
     )
     assert math.cos(pl.phi) == pytest.approx(
@@ -311,6 +315,46 @@ def test_run_thermal_refuses_a_cutoff_below_its_components():
         run(ratio_params(2), FieldSpec.thermal(0.5), ProtocolOptions(n_max=4))
 
 
+def named_cutoff(params, field, options):
+    """The cutoff that a refusal of `options.n_max` names as the smallest that runs."""
+    with pytest.raises((TruncationError, TruncationRefusal)) as info:
+        run(params, field, options)
+    return int(re.search(r"this run needs n_max >= (\d+)$", str(info.value)).group(1))
+
+
+@pytest.mark.parametrize("excite_control", [True, False])
+@pytest.mark.parametrize(
+    "field",
+    [FieldSpec.thermal(m) for m in (0.05, 0.1, 0.2, 0.25, 0.3, 1.0)]
+    + [FieldSpec.coherent(a) for a in (0.1, 1.0, 1 + 1j)]
+    + [FieldSpec.fock(n) for n in (0, 3)],
+    ids=lambda f: f"{f.kind}-{f.mean_n:g}",
+)
+def test_refusal_names_the_smallest_cutoff_that_runs(field, excite_control):
+    params = ratio_params(3)
+    least = named_cutoff(params, field, ProtocolOptions(n_max=-1, excite_control=excite_control))
+    run(params, field, ProtocolOptions(n_max=least, excite_control=excite_control))
+    below = ProtocolOptions(n_max=least - 1, excite_control=excite_control)
+    assert named_cutoff(params, field, below) == least
+
+
+def test_thermal_refusal_names_one_above_the_field_cutoff():
+    # thermal(0.3) keeps levels up to 12, and level 12 weighs 1.755e-8 on block 13
+    params, field = ratio_params(3), FieldSpec.thermal(0.3)
+    field_refusal = r"needs n_max >= 12, got 6; this run needs n_max >= 13"
+    with pytest.raises(TruncationError, match=field_refusal):
+        run(params, field, ProtocolOptions(n_max=6))
+    with pytest.raises(TruncationRefusal, match=r"M=13 \(n_max=12\); this run needs n_max >= 13"):
+        run(params, field, ProtocolOptions(n_max=12))
+    assert run(params, field, ProtocolOptions(n_max=13)).meta["n_max"] == 13
+
+
+def test_refusal_of_a_field_that_fits_no_cutoff():
+    # exp(-|a|^2 / 2) underflows to 0, so every cutoff leaves out the whole field
+    with pytest.raises(TruncationError, match=r"no n_max up to \d+ runs it$"):
+        run(ratio_params(3), FieldSpec.coherent(40.0), ProtocolOptions(n_max=5))
+
+
 def test_run_flags_invalid_but_proceeds():
     rep = run(ratio_params(10, ratio=30.0), FieldSpec.fock(9))
     assert rep.validity >= 0.3
@@ -320,13 +364,13 @@ def test_run_flags_invalid_but_proceeds():
 
 def test_report_round_trip_and_invariant():
     rep = run(ratio_params(3), FieldSpec.fock(0), ProtocolOptions(seed=11))
-    again = ProtocolReport.from_dict(rep.to_dict())
+    again = ProtocolReport(**rep.to_dict())
     assert again.to_dict() == rep.to_dict()
     assert rep.meta["seed"] == 11
     with pytest.raises(ValueError, match="metric ordering"):
         bad = rep.to_dict()
         bad["fidelity_subradiant"] = bad["dfs_weight"] + 1e-3
-        ProtocolReport.from_dict(bad)
+        ProtocolReport(**bad)
 
 
 # -- per-process reuse of component outcomes -------------------------------------

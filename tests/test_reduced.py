@@ -16,7 +16,7 @@ from subrad import dynamics
 from subrad.dynamics import default_trajectory_times
 from subrad.fields import FieldSpec
 from subrad.model import SystemParams
-from subrad.protocol import ProtocolOptions, fock_components, plan, run
+from subrad.protocol import ProtocolOptions, fock_components, plan, run, trajectory
 
 G = 2 * math.pi * 24e3
 
@@ -114,8 +114,7 @@ def test_run_matches_product_engine(case):
 def test_trajectory_matches_product_engine(case, points):
     params, field, options, _ = case
     times = default_trajectory_times(params, points)
-    n_max, components = fock_components(params, field, options)
-    rows = dynamics.trajectory_rows(params, n_max, components, options.excite_control, times)
+    rows = trajectory(params, field, options, times)
     # atom 0 is the product readout's control atom
     expected = trajectory_rows(params, product_components(params, field, options, 0), times)
     assert len(rows) == len(expected) == points
@@ -131,17 +130,23 @@ def test_trajectory_matches_product_engine(case, points):
 @pytest.mark.parametrize("n_max", [0, 1, 2])
 @pytest.mark.parametrize("excited", [True, False])
 def test_trajectory_on_clipped_blocks(n_atoms, n_max, excited):
-    # blocks M > n_max lose their high-photon states; the couplings into them vanish
+    # blocks M > n_max lose their high-photon states; the couplings into them vanish.
+    # protocol.trajectory refuses a clipped block of weight 1, so the rows are built here.
     params = SystemParams.from_detuning_ratio(n_atoms, G, 40.0)
     times = default_trajectory_times(params, 20)
     basis = build_basis(n_atoms, n_max)
     code = atom_code(0, n_atoms) if excited else 0
     for n in range(n_max + 1):
-        rows = dynamics.trajectory_rows(params, n_max, [(1.0, n)], excited, times)
+        block = dynamics.compile_propagator(params, n + excited, n_max)
+        psi = block.unit_state(int(excited), 0, n)
+        amps = np.concatenate(list(dynamics.evolve_grid(block, psi, times)))
+        cols = dynamics.readouts(block, amps)
+        cols["t_seconds"] = times
         state = PureState.from_amplitudes(basis, {(code, n): 1.0})
-        for row, ref in zip(rows, trajectory_rows(params, [(1.0, state)], times)):
+        for i, ref in enumerate(trajectory_rows(params, [(1.0, state)], times)):
+            assert ref.keys() == cols.keys()
             for key, value in ref.items():
-                assert row[key] == pytest.approx(value, abs=1e-10), (n, key)
+                assert cols[key][i] == pytest.approx(value, abs=1e-10), (n, key)
 
 
 @pytest.mark.parametrize("n_atoms", range(1, 9))
@@ -178,9 +183,8 @@ def test_laboratory_frame_run_matches_the_atomic_frame():
     for key in ("fidelity_subradiant", "dfs_weight", "emission_expectation"):
         assert getattr(a, key) == pytest.approx(getattr(b, key), abs=1e-12), key
     times = default_trajectory_times(atomic, 50)
-    n_max, components = fock_components(atomic, field, ProtocolOptions())
-    rows_lab = dynamics.trajectory_rows(lab, n_max, components, True, times)
-    rows_atomic = dynamics.trajectory_rows(atomic, n_max, components, True, times)
+    rows_lab = trajectory(lab, field, ProtocolOptions(), times)
+    rows_atomic = trajectory(atomic, field, ProtocolOptions(), times)
     for row, ref in zip(rows_lab, rows_atomic):
         for key, value in ref.items():
             assert row[key] == pytest.approx(value, abs=1e-11), key
