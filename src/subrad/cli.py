@@ -426,31 +426,42 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
     levels += [(val, f"free_k{e}", math.comb(nn, e)) for e, val in free.items() if e != 1]
     levels.sort(key=lambda lv: lv[0])
 
+    # Equal eigenvalues see equal distances, so the nearest level with room
+    # (first minimum on a tie) takes as many rows of a run of them as it has
+    # room for.  Runs split on the bits, keeping 0.0 and -0.0 apart; the
+    # capacities add up to at least the row count, so some level has room.
     scale = 2.0 * abs(params.alpha)
     values = np.array([lv for lv, _, _ in levels])
     left = np.array([count for _, _, count in levels])
-    rows = []
-    for i, ev in enumerate(eigenvalues):
-        # first minimum among untaken levels
-        best = int(np.argmin(np.where(left > 0, np.abs(ev - values), math.inf)))
-        left[best] -= 1
-        lv, label, _ = levels[best]
-        rows.append(
-            {
-                "index": i,
-                "eigenvalue_rad_s": float(ev),
-                "shift_from_e0_rad_s": float(ev - e0),
-                "pt_level_rad_s": lv,
-                "pt_shift_rad_s": lv - e0,
-                "abs_error_rad_s": float(abs(ev - lv)),
-                "rel_error_vs_2alpha": float(abs(ev - lv) / scale),
-                "assignment": label,
-            }
-        )
+    starts = np.flatnonzero(np.diff(eigenvalues.view(np.int64))) + 1
+    bounds = [0, *starts.tolist(), len(eigenvalues)]
+    counts, rows = [], []
+    for start, stop in zip(bounds, bounds[1:]):
+        ev = eigenvalues[start]
+        distance = np.abs(ev - values)
+        remaining = stop - start
+        while remaining:
+            best = int(np.argmin(np.where(left > 0, distance, math.inf)))
+            take = min(remaining, int(left[best]))
+            left[best] -= take
+            remaining -= take
+            lv, label, _ = levels[best]
+            counts.append(take)
+            rows.append(
+                {
+                    "eigenvalue_rad_s": float(ev),
+                    "shift_from_e0_rad_s": float(ev - e0),
+                    "pt_level_rad_s": lv,
+                    "pt_shift_rad_s": lv - e0,
+                    "abs_error_rad_s": float(abs(ev - lv)),
+                    "rel_error_vs_2alpha": float(abs(ev - lv) / scale),
+                    "assignment": label,
+                }
+            )
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    serialize.write_csv(out_dir / "spectrum.csv", SPECTRUM_COLUMNS, rows)
-    print(f"block M={sector_n}: {len(rows)} eigenvalues written")
+    serialize.write_csv(out_dir / "spectrum.csv", SPECTRUM_COLUMNS, rows, counts)
+    print(f"block M={sector_n}: {len(eigenvalues)} eigenvalues written")
     return 0
 
 

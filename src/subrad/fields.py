@@ -120,6 +120,12 @@ class FieldSpec:
             return c
         if self.kind == "coherent":
             mean = abs(self.amplitude) ** 2
+            vacuum = cmath.exp(-mean / 2.0)
+            if vacuum == 0:
+                raise TruncationError(
+                    f"coherent field with |amp|^2={mean:.3g}: exp(-|amp|^2/2) underflows "
+                    "to 0, so no cutoff can hold the field"
+                )
             needed = mean + 6.0 * abs(self.amplitude) + 4.0
             if n_max < needed:
                 raise TruncationError(
@@ -127,7 +133,7 @@ class FieldSpec:
                     f"{math.ceil(needed)}, got {n_max}"
                 )
             c = np.zeros(n_max + 1, dtype=complex)
-            c[0] = cmath.exp(-mean / 2.0)
+            c[0] = vacuum
             for k in range(1, n_max + 1):
                 c[k] = c[k - 1] * self.amplitude / math.sqrt(k)
             tail = 1.0 - float(np.vdot(c, c).real)

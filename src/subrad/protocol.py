@@ -175,7 +175,7 @@ def fock_components(
     smallest cutoff that runs.  It is searched upward from the refused one,
     as a higher cutoff only lowers the clipped weights, up to the default
     cutoff, which any field that fits some cutoff also fits (a coherent
-    field with a mean above about 1450 underflows and fits none).
+    field with a mean above about 1490 underflows and fits none).
     """
     n_max = options.n_max if options.n_max is not None else field.required_n_max(params.n_atoms)
     c = 1 if options.excite_control else 0

@@ -74,24 +74,41 @@ def dump_json(obj, path) -> None:
         fh.write(dumps(obj))
 
 
-def write_csv(path, columns: Iterable[str], rows: Iterable[dict]) -> None:
-    """Write dict rows under a fixed header; floats get 17 digits."""
+def write_csv(
+    path, columns: Iterable[str], rows: Iterable[dict], counts: Iterable[int] | None = None
+) -> None:
+    """Write dict rows under a fixed header; floats get 17 digits.
+
+    With `counts`, the i-th row stands for counts[i] rows that differ only in
+    the first column, a running index from 0 that the dicts leave out; the
+    text of their other cells is rendered once.
+    """
     cols = list(columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in rows:
-            cells = []
-            for c in cols:
-                v = row.get(c, "")
-                if isinstance(v, bool):
-                    cells.append("true" if v else "false")
-                elif isinstance(v, float):
-                    cells.append(format_float(v))
-                elif v is None:
-                    cells.append("")
-                else:
-                    text = str(v)
-                    if "," in text or '"' in text or "\n" in text or "\r" in text:
-                        text = '"' + text.replace('"', '""') + '"'
-                    cells.append(text)
-            fh.write(",".join(cells) + "\n")
+        if counts is None:
+            for row in rows:
+                fh.write(_line(row, cols))
+            return
+        start = 0
+        for count, row in zip(counts, rows, strict=True):
+            rest = _line(row, cols[1:])
+            fh.write("".join(f"{i},{rest}" for i in range(start, start + count)))
+            start += count
+
+
+def _line(row: dict, cols: list[str]) -> str:
+    return ",".join([_cell(row.get(c, "")) for c in cols]) + "\n"
+
+
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format_float(v)
+    if v is None:
+        return ""
+    text = str(v)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        text = '"' + text.replace('"', '""') + '"'
+    return text

@@ -2,9 +2,10 @@
 
 perfbench/tracer.py wraps every public subrad function and sums self time per
 module, perfbench/selftest.py checks that the wrappers reach the names that
-protocol, perturb and cli import from dynamics, and perfbench/reference/
-holds outputs in the layout of the CLI.  These tests make a change that
-breaks any of these contracts fail here, not only in the benchmark.
+protocol, perturb and cli import from dynamics, and perfbench/checks.py
+compares the CLI's seed-0 outputs with perfbench/reference/.  These tests make
+a change that breaks any of these contracts fail here, not only in the
+benchmark.
 """
 
 import importlib.util
@@ -20,20 +21,24 @@ import subrad.cli
 import subrad.dynamics
 import subrad.perturb
 import subrad.protocol
-from subrad.cli import RunConfig
+from subrad.cli import RunConfig, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TRACER_PATH = PERFBENCH / "tracer.py"
+
+
+def load_perfbench(monkeypatch, name: str):
+    """perfbench/<name>.py as a private module, loaded without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def tracer(monkeypatch):
-    """perfbench/tracer.py as a private module, loaded without writing bytecode."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench(monkeypatch, "tracer")
 
 
 def test_selftest_names_are_the_engine_functions():
@@ -64,3 +69,15 @@ def test_report_keys_in_the_reference_order():
     report = subrad.protocol.run(config.params(), config.field, config.options).to_dict()
     assert list(report) == list(reference["report"])
     assert list(report["perturbation"]) == list(reference["report"]["perturbation"])
+
+
+def test_seed_zero_workloads_pass_the_benchmark_checks(monkeypatch, tmp_path, capsys):
+    workloads = load_perfbench(monkeypatch, "workloads")
+    checks = load_perfbench(monkeypatch, "checks")
+    for name, workload in workloads.WORKLOADS.items():
+        cfg = workloads.make_config(name, 0)
+        path, out = tmp_path / f"{name}.json", tmp_path / name
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(workloads.cli_args(workload, str(path), str(out))) == 0, capsys.readouterr()
+        problems = checks.check_outputs(workload.command, cfg, out, PERFBENCH / "reference" / name)
+        assert problems == [], (name, problems)

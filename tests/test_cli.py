@@ -1,6 +1,7 @@
 """Command-line interface: configs, exit codes, emitted files."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -8,8 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import spectrum_oracle
 import subrad
 import subrad.cli
 import subrad.protocol
@@ -393,6 +396,26 @@ def test_write_csv_quotes_cells_with_commas_and_quotes(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("counts", [None, [1] * 8], ids=["rows", "counted"])
+def test_write_csv_text_of_values_that_compare_equal(tmp_path, counts):
+    # -0.0 == 0.0 and True == 1 == 1.0, yet each has its own text
+    values = [-0.0, 0.0, math.nan, math.inf, -math.inf, True, 1, 1.0]
+    rows = [{"i": i, "v": v} for i, v in enumerate(values)]
+    serialize.write_csv(tmp_path / "t.csv", ("i", "v"), rows, counts)
+    lines = (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()
+    assert lines == ["i,v"] + [
+        f"{i},{text}"
+        for i, text in enumerate(["-0", "0", "NaN", "Infinity", "-Infinity", "true", "1", "1"])
+    ]
+
+
+def test_write_csv_numbers_counted_rows_in_the_first_column(tmp_path):
+    rows = [{"a": 0.5, "b": "x,y"}, {"a": None, "b": False}]
+    serialize.write_csv(tmp_path / "t.csv", ("n", "a", "b"), rows, [2, 1])
+    text = (tmp_path / "t.csv").read_text(encoding="utf-8")
+    assert text == 'n,a,b\n0,0.5,"x,y"\n1,0.5,"x,y"\n2,,false\n'
+
+
 def test_thermal_mean_n_sweep_compiles_each_fock_block_once(tmp_path, monkeypatch):
     # the sweep_thermal benchmark config: 8 thermal points share 15 photon numbers
     values = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4]
@@ -573,6 +596,59 @@ def test_spectrum_h0_only_degenerate(tmp_path):
     assert len(sector) == 10 and len(evs) == 1  # exact N-fold degeneracy
 
 
+SPECTRUM_FRAMES = {
+    "ratio": {"delta_over_g": 30.0},
+    "laboratory": {"omega_a_over_2pi_hz": 1.0e9, "omega_c_over_2pi_hz": 1.0e9 + 30 * G_HZ},
+    "negative_detuning": {"delta_over_g": -30.0},
+}
+
+
+def assert_spectrum_matches_oracle(tmp_path, capsys, raw):
+    """Run `subrad spectrum` on `raw`; compare its file with the per-row oracle."""
+    cfg = tmp_path / "spectrum.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    config = RunConfig.from_json(raw)
+    spectrum_oracle.write_spectrum_csv(config, tmp_path / "oracle.csv")
+    expected = (tmp_path / "oracle.csv").read_bytes()
+    assert (tmp_path / "spectrum.csv").read_bytes() == expected, raw
+    rows = expected.count(b"\n") - 1
+    assert capsys.readouterr().out == f"block M={config.spectrum_block}: {rows} eigenvalues written\n"
+
+
+@pytest.mark.parametrize("n_atoms", range(1, 10))
+def test_spectrum_csv_matches_the_per_row_oracle(tmp_path, capsys, n_atoms):
+    # every block 1..N+n_max; under the default cutoff every block above N
+    # holds all N+1 free levels, so blocks up to N+5 cover it
+    for frame, h0_only, n_max in itertools.product(SPECTRUM_FRAMES, (False, True), (None, 2, 5)):
+        for block in range(1, n_atoms + (5 if n_max is None else n_max) + 1):
+            raw = {"n_atoms": n_atoms, "g_over_2pi_hz": G_HZ, **SPECTRUM_FRAMES[frame]}
+            raw["spectrum"] = {"block": block, "h0_only": h0_only}
+            if n_max is not None:
+                raw["options"] = {"n_max": n_max}
+            assert_spectrum_matches_oracle(tmp_path, capsys, raw)
+
+
+def test_spectrum_csv_of_a_large_block_matches_the_per_row_oracle(tmp_path, capsys):
+    # 39,203 rows over 45 distinct eigenvalues
+    raw = {"n_atoms": 16, "g_over_2pi_hz": G_HZ, "delta_over_g": 30.0, "spectrum": {"block": 8}}
+    assert_spectrum_matches_oracle(tmp_path, capsys, raw)
+
+
+def test_spectrum_keeps_zero_and_negative_zero_apart(tmp_path, capsys, monkeypatch):
+    # 0.0 == -0.0, but they print as "0" and "-0": one run would print one of them
+    def fake(*args):
+        return np.array([-0.0, -0.0, 0.0, 0.0])
+
+    monkeypatch.setattr(subrad.cli, "spectrum", fake)
+    monkeypatch.setattr(spectrum_oracle, "spectrum", fake)
+    raw = {"n_atoms": 3, "g_over_2pi_hz": G_HZ, "delta_over_g": 30.0}
+    raw["spectrum"] = {"block": 1, "h0_only": True}
+    assert_spectrum_matches_oracle(tmp_path, capsys, raw)
+    cells = [r["eigenvalue_rad_s"] for r in read_csv(tmp_path / "spectrum.csv")]
+    assert cells == ["-0", "-0", "0", "0"]
+
+
 def test_spectrum_refuses_more_rows_than_it_can_hold(tmp_path, capsys):
     # block M=N of 17 atoms holds all 2^17 atomic configurations
     cfg = write_config(tmp_path, n_atoms=17, delta_over_g=100.0, spectrum={"block": 17})
@@ -655,6 +731,18 @@ def test_evolve_refuses_clipped_fock_block(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "TruncationRefusal" in err and "this run needs n_max >= 4" in err, err
         assert not (out / "trajectory.csv").exists()
+
+
+def test_underflowing_coherent_field_refused_at_any_cutoff(tmp_path, capsys):
+    field = {"kind": "coherent", "amplitude_re": 40}
+    cfg = write_config(
+        tmp_path, n_atoms=3, delta_over_g=3000.0, field=field, options={"n_max": 3000}
+    )
+    for command in ("protocol", "evolve"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err
+        assert "exp(-|amp|^2/2) underflows to 0, so no cutoff can hold the field" in err, err
+        assert not (tmp_path / command).exists()
 
 
 def test_floats_emitted_with_17_digits(tmp_path):

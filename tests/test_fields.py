@@ -53,6 +53,15 @@ def test_coherent_refuses_tight_truncation():
         FieldSpec.coherent(2.0).amplitudes(5)
 
 
+def test_coherent_refuses_a_field_whose_vacuum_amplitude_underflows():
+    # exp(-|a|^2/2) is 0 in doubles from a mean of about 1490.3 on
+    runs = FieldSpec.coherent(math.sqrt(1490.0))
+    assert math.fsum(abs(runs.amplitudes(runs.required_n_max(3))) ** 2) == pytest.approx(1.0)
+    for n_max in (5, 1844, 3000):
+        with pytest.raises(TruncationError, match="underflows to 0, so no cutoff can hold"):
+            FieldSpec.coherent(40.0).amplitudes(n_max)
+
+
 @given(
     re=st.floats(min_value=-1.8, max_value=1.8),
     im=st.floats(min_value=-1.8, max_value=1.8),

@@ -351,8 +351,10 @@ def test_thermal_refusal_names_one_above_the_field_cutoff():
 
 def test_refusal_of_a_field_that_fits_no_cutoff():
     # exp(-|a|^2 / 2) underflows to 0, so every cutoff leaves out the whole field
-    with pytest.raises(TruncationError, match=r"no n_max up to \d+ runs it$"):
-        run(ratio_params(3), FieldSpec.coherent(40.0), ProtocolOptions(n_max=5))
+    refusal = r"underflows to 0, so no cutoff can hold the field; no n_max up to \d+ runs it$"
+    for n_max in (5, 3000):
+        with pytest.raises(TruncationError, match=refusal):
+            run(ratio_params(3), FieldSpec.coherent(40.0), ProtocolOptions(n_max=n_max))
 
 
 def test_run_flags_invalid_but_proceeds():
