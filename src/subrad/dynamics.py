@@ -1,29 +1,31 @@
-"""Exact propagation on the permutation-reduced basis |c, k, n>.
+"""Exact propagation on the two Tavis-Cummings ladders the protocol reaches.
 
 The protocol excites one control atom and reads only the control amplitude
 and the symmetric state of the other N-1 atoms.  H, the initial state and
-the phase gate all commute with permutations of those atoms, so the exact
-dynamics stays in the span of |c, k, n>: c is the control atom's bit, k the
-symmetric Dicke level of the other atoms (k of them excited) and n the
-photon number (Shammah et al., PRA 98, 063815 (2018)).  Excitation block M
-(c + k + n = M, 0 <= n <= n_max) holds at most 2N of these states, against
-up to 2^N product states.  H is real symmetric on a block:
+the phase gate commute with the total spin and with permutations of those
+atoms, so the exact dynamics stays on two Tavis-Cummings ladders: total
+spin j = N/2 and j = N/2 - 1 of the control atom with the symmetric state
+of the others.  With lo = N/2 - j, rung e of a ladder holds e excited
+atoms (lo <= e <= N - lo) and, in excitation block M, n = M - e photons
+with 0 <= n <= n_max, so a block holds at most 2N amplitudes against up
+to 2^N product states.  H is real symmetric and tridiagonal on a ladder:
 
-    <c,k,n|H|c,k,n>      = omega_a (c + k - N/2) + omega_c n,
-    <0,k,n+1|H|1,k,n>    = g sqrt(n+1),
-    <c,k-1,n+1|H|c,k,n>  = g sqrt(n+1) sqrt(k (N-k)),
+    <e,n|H|e,n>          = omega_a (e - N/2) + omega_c n,
+    <e-1,n+1|H|e,n>      = g sqrt(n+1) sqrt((e - lo)(N - lo - e + 1)).
 
-with no coupling past the Fock cutoff.  Block M is diagonalized without
-its constant omega_c M - omega_a N/2, which multiplies exp(-iHt) only as a
-phase; this keeps the eigenvalues on the scale of delta, so rounding of
-w t spoils no relative phase even in the laboratory frame, where omega_a
-exceeds delta by orders of magnitude.  A whole time grid is evaluated as
-V (exp(-i w t') * (V' psi)), a fixed number of times per product.  Every
-single-excitation readout needs only psi10 = psi(1,0,M-1) and
-psi01 = psi(0,1,M-1): the control atom carries psi10 and each other atom
-psi01 / sqrt(N-1).  The spectrum of a whole product block is the union of
-Tavis-Cummings ladders, one per total spin j, each repeated
-dicke_multiplicity(N, j) times.
+Rung 1 holds |S> = (|1,0> + sqrt(N-1) |0,1>) / sqrt(N) on the symmetric
+ladder and the dark target |D> = (sqrt(N-1) |1,0> - |0,1>) / sqrt(N) on
+the other, where |c,k> has the control atom's bit c and k of the other
+atoms excited, symmetrized.  On rung e the control-excited state |1,e-1>
+is sqrt(e/N) on the symmetric ladder plus sqrt((N-e)/N) on the other.
+Block M is diagonalized without its constant omega_c M - omega_a N/2, which
+multiplies exp(-iHt) only as a phase; this keeps the eigenvalues on the
+scale of delta, so rounding of w t spoils no relative phase even in the
+laboratory frame, where omega_a exceeds delta by orders of magnitude.  A
+whole time grid is evaluated as V (exp(-i w t') * (V' psi)), a fixed number
+of times per product.  The spectrum of a whole product block is the union
+of the ladders of every total spin j, each repeated dicke_multiplicity(N, j)
+times.
 """
 
 from __future__ import annotations
@@ -66,74 +68,45 @@ def dicke_multiplicity(n_atoms: int, j: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One excitation block of the |c, k, n> basis with its eigendecomposition."""
+    """One excitation block as its two ladders, with their eigendecompositions.
+
+    Amplitudes run over the symmetric ladder's rungs, then the other's.
+    """
 
     params: SystemParams
     m_total: int
-    states: np.ndarray  # (dim, 3) integer rows (c, k, n)
+    rungs: np.ndarray  # excited atoms e of each amplitude
+    ladder: np.ndarray  # N/2 - j of each amplitude: 0 symmetric, 1 the other
     offset: float  # omega_c M - omega_a N/2, left out of the eigenvalues
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # real orthonormal columns
-    lowering: np.ndarray  # J- into block M-1, rows c' N + k'
+    eigenvectors: np.ndarray  # real orthonormal columns, block diagonal by ladder
 
-    def index(self, c: int, k: int, n: int) -> int | None:
-        """Position of |c, k, n> in the block, None if the block lacks it."""
-        hit = np.flatnonzero((self.states == (c, k, n)).all(axis=1))
-        return int(hit[0]) if hit.size else None
+    def control_share(self) -> np.ndarray:
+        """Overlap of each amplitude's state with |1, e-1> on its rung."""
+        nn = self.params.n_atoms
+        return np.sqrt(np.where(self.ladder == 0, self.rungs, nn - self.rungs) / nn)
 
-    def unit_state(self, c: int, k: int, n: int) -> np.ndarray:
-        i = self.index(c, k, n)
-        if i is None:
-            raise ValueError(f"|{c},{k},{n}> is not in block M={self.m_total}")
-        psi = np.zeros(len(self.states))
-        psi[i] = 1.0
-        return psi
+    def rung_one(self, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Amplitudes on |S> and |D> of amplitudes of shape (..., dim); zero where absent."""
+        s, d = ((self.rungs == 1) & (self.ladder == lo) for lo in (0, 1))
+        return amps[..., s].sum(-1), amps[..., d].sum(-1)
 
 
-def _states(n_atoms: int, m_total: int, n_max: int) -> np.ndarray:
-    """Rows (c, k, n) of block M, c = 0 first, k ascending."""
+def _ladder(params: SystemParams, lo: int, m_total: int, n_max: int, g: float, diagonal):
+    """Rungs e and tridiagonal H of ladder j = N/2 - lo in block M.
+
+    `diagonal(e, n)` gives H on e excited atoms and n photons.
+    """
     if n_max < 0:
         raise ValueError(f"Fock truncation must be >= 0, got {n_max}")
-    rows = [
-        (c, k, m_total - c - k)
-        for c in (0, 1)
-        for k in range(n_atoms)
-        if 0 <= m_total - c - k <= n_max
-    ]
-    return np.array(rows, dtype=int).reshape(-1, 3)
-
-
-def _hamiltonian(params: SystemParams, states: np.ndarray, n_max: int) -> np.ndarray:
-    """H minus `Block.offset`, whose diagonal is then -delta (c + k)."""
     nn = params.n_atoms
-    c, k, _ = states.T
-    h = np.diag((params.omega_a - params.omega_c) * (c + k))
-    row = {(ci, ki): i for i, (ci, ki, _) in enumerate(states.tolist())}
-    for j, (ci, ki, ni) in enumerate(states.tolist()):
-        if ni + 1 > n_max:
-            continue
-        amp = params.g * math.sqrt(ni + 1)
-        if ci == 1:  # a' sigma-(control)
-            h[row[0, ki], j] = h[j, row[0, ki]] = amp
-        if ki >= 1:  # a' J-(others)
-            i = row[ci, ki - 1]
-            h[i, j] = h[j, i] = amp * math.sqrt(ki * (nn - ki))
-    return h
-
-
-def _lowering(n_atoms: int, states: np.ndarray) -> np.ndarray:
-    """J- = sigma-(control) + J-(others) as a map into block M-1.
-
-    Row c' N + k' holds the target |c', k', n>; n is fixed by the block.
-    """
-    c, k, _ = states.T
-    cols = np.arange(len(states))
-    out = np.zeros((2 * n_atoms, len(states)))
-    ctrl = c == 1
-    out[k[ctrl], cols[ctrl]] = 1.0
-    oth = k >= 1
-    out[c[oth] * n_atoms + k[oth] - 1, cols[oth]] = np.sqrt(k[oth] * (n_atoms - k[oth]))
-    return out
+    e = np.arange(max(lo, m_total - n_max), min(nn - lo, m_total) + 1)
+    n = m_total - e
+    h = np.diag(diagonal(e, n))
+    i = np.arange(1, e.size)
+    # <e-1, n+1| a' J- |e, n> = sqrt(n+1) sqrt((e - lo)(nn - lo - e + 1))
+    h[i, i - 1] = h[i - 1, i] = g * np.sqrt((n[i] + 1) * (e[i] - lo) * (nn - lo - e[i] + 1))
+    return e, h
 
 
 def _eigh(h: np.ndarray, m_total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,17 +128,27 @@ def _eigh(h: np.ndarray, m_total: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compile_propagator(params: SystemParams, m_total: int, n_max: int) -> Block:
-    """Build and diagonalize H on excitation block M of the |c, k, n> basis."""
-    states = _states(params.n_atoms, m_total, n_max)
-    w, v = _eigh(_hamiltonian(params, states, n_max), m_total)
+    """Build and diagonalize H on excitation block M, one ladder at a time."""
+    detuning = params.omega_a - params.omega_c
+    ladders = [
+        _ladder(params, lo, m_total, n_max, params.g, lambda e, n: detuning * e) for lo in (0, 1)
+    ]
+    # the second ladder has no rung in block 0, nor at all for N = 1
+    pairs = [_eigh(h, m_total) for _, h in ladders if h.size]
+    rungs = np.concatenate([e for e, _ in ladders])
+    v = np.zeros((rungs.size, rungs.size))
+    i = 0
+    for _, part in pairs:
+        v[i : i + len(part), i : i + len(part)] = part
+        i += len(part)
     return Block(
         params=params,
         m_total=m_total,
-        states=states,
+        rungs=rungs,
+        ladder=np.repeat([0, 1], [e.size for e, _ in ladders]),
         offset=params.omega_c * m_total - params.omega_a * params.n_atoms / 2.0,
-        eigenvalues=w,
+        eigenvalues=np.concatenate([w for w, _ in pairs]),
         eigenvectors=v,
-        lowering=_lowering(params.n_atoms, states),
     )
 
 
@@ -197,30 +180,27 @@ def evolve(block: Block, psi: np.ndarray, t: float) -> np.ndarray:
 
 def single_excitation_pair(block: Block, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """psi10 and psi01 of amplitudes of shape (..., dim); zero where absent."""
-    n = block.m_total - 1
-    out = []
-    for c, k in ((1, 0), (0, 1)):
-        i = block.index(c, k, n)
-        out.append(amps[..., i] if i is not None else np.zeros(amps.shape[:-1], complex))
-    return out[0], out[1]
+    nn = block.params.n_atoms
+    s, d = block.rung_one(amps)
+    return (s + math.sqrt(nn - 1) * d) / math.sqrt(nn), (math.sqrt(nn - 1) * s - d) / math.sqrt(nn)
 
 
 def readouts(block: Block, amps: np.ndarray) -> dict[str, np.ndarray]:
     """TRAJECTORY_COLUMNS[1:] of amplitudes of shape (..., dim).
 
-    p_subradiant is the dark weight |psi10|^2 + |psi01|^2 - p_symmetric, and
-    jpjm is <J+J-> = |J- psi|^2.
+    p_symmetric and p_subradiant are the weights on |S> and |D>, and jpjm is
+    <J+J->, which J- = sqrt((e - lo)(N - lo - e + 1)) weighs per rung.
     """
     nn = block.params.n_atoms
     psi10, psi01 = single_excitation_pair(block, amps)
-    p10, p01 = np.abs(psi10) ** 2, np.abs(psi01) ** 2
-    sym = np.abs(psi10 + math.sqrt(nn - 1) * psi01) ** 2 / nn
+    s, d = block.rung_one(amps)
+    lowered = (block.rungs - block.ladder) * (nn - block.ladder - block.rungs + 1)
     return {
-        "p_control": p10,
-        "p_single_offcontrol": p01,
-        "p_symmetric": sym,
-        "p_subradiant": p10 + p01 - sym,
-        "jpjm": np.sum(np.abs(amps @ block.lowering.T) ** 2, axis=-1),
+        "p_control": np.abs(psi10) ** 2,
+        "p_single_offcontrol": np.abs(psi01) ** 2,
+        "p_symmetric": np.abs(s) ** 2,
+        "p_subradiant": np.abs(d) ** 2,
+        "jpjm": np.abs(amps) ** 2 @ lowered,
         "norm_error": np.abs(np.linalg.norm(amps, axis=-1) - 1.0),
     }
 
@@ -238,22 +218,15 @@ def spectrum(params: SystemParams, m_total: int, n_max: int, h0_only: bool = Fal
     [0, n_max], repeated dicke_multiplicity(N, j) times.  `h0_only` drops
     the coupling.
     """
-    if n_max < 0:
-        raise ValueError(f"Fock truncation must be >= 0, got {n_max}")
     nn = params.n_atoms
     g = 0.0 if h0_only else params.g
     parts = []
     for two_j in range(nn % 2, nn + 1, 2):
-        lo = (nn - two_j) // 2
-        e = np.arange(max(lo, m_total - n_max), min(nn - lo, m_total) + 1)
+        e, h = _ladder(
+            params, (nn - two_j) // 2, m_total, n_max, g,
+            lambda e, n: params.omega_a * (e - nn / 2.0) + params.omega_c * n,
+        )
         if e.size == 0:
             continue
-        n = m_total - e
-        h = np.diag(params.omega_a * (e - nn / 2.0) + params.omega_c * n)
-        # <e-1, n+1| a' J- |e, n> = sqrt(n+1) sqrt((e - lo)(nn - lo - e + 1))
-        up = e[1:]
-        coupling = g * np.sqrt((n[1:] + 1) * (up - lo) * (nn - lo - up + 1))
-        h[np.arange(1, e.size), np.arange(e.size - 1)] = coupling
-        h[np.arange(e.size - 1), np.arange(1, e.size)] = coupling
         parts.append(np.repeat(np.linalg.eigvalsh(h), dicke_multiplicity(nn, two_j / 2)))
     return np.sort(np.concatenate(parts)) if parts else np.empty(0)

@@ -31,7 +31,6 @@ from .dynamics import (  # noqa: F401
     evolve,
     evolve_grid,
     readouts,
-    single_excitation_pair,
 )
 from .fields import FieldSpec, TruncationError
 from .model import SystemParams
@@ -80,15 +79,19 @@ def plan(params: SystemParams, branch: int = 0) -> ProtocolPlan:
 
 
 def phase_gate(block: Block, psi: np.ndarray, phi: float) -> np.ndarray:
-    """Multiply every amplitude with the control atom excited by exp(-i phi)."""
-    return np.where(block.states[:, 0] == 1, psi * cmath.exp(-1j * phi), psi)
+    """Multiply the control-excited part of every rung by exp(-i phi).
+
+    On a rung with amplitudes x that part is u (u . x), where u is
+    `Block.control_share` there.
+    """
+    u = block.control_share()
+    same_rung = block.rungs[:, None] == block.rungs
+    return psi + (cmath.exp(-1j * phi) - 1.0) * u * ((same_rung * u) @ psi)
 
 
 def fidelity(block: Block, amps: np.ndarray) -> np.ndarray:
-    """Weight on the dark target: |(N-1) psi10 - sqrt(N-1) psi01|^2 / (N(N-1))."""
-    nn = block.params.n_atoms
-    psi10, psi01 = single_excitation_pair(block, amps)
-    return np.abs((nn - 1) * psi10 - math.sqrt(nn - 1) * psi01) ** 2 / (nn * (nn - 1))
+    """Weight on the dark target |D>, rung 1 of the ladder j = N/2 - 1."""
+    return np.abs(block.rung_one(amps)[1]) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -172,26 +175,37 @@ def fock_components(
     atom is excited.  A cutoff is refused if the field does not fit under it
     (TruncationError) or if it clips a block of a component heavier than
     TRUNCATION_WEIGHT_LIMIT (TruncationRefusal).  Either message names the
-    smallest cutoff that runs.  It is searched upward from the refused one,
-    as a higher cutoff only lowers the clipped weights, up to the default
-    cutoff, which any field that fits some cutoff also fits (a coherent
-    field with a mean above about 1490 underflows and fits none).
+    smallest cutoff that runs.  A higher cutoff only lowers the clipped
+    weights, so the search tries the default cutoff, which any field that
+    fits some cutoff also fits (a coherent field with a mean above about
+    1490 underflows and fits none), and bisects between it and the refused
+    one.
     """
     n_max = options.n_max if options.n_max is not None else field.required_n_max(params.n_atoms)
     c = 1 if options.excite_control else 0
     components = _fit(field, c, n_max)
     if isinstance(components, Exception):
-        top = max(n_max, field.required_n_max(params.n_atoms))
-        fits = (m for m in range(n_max + 1, top + 1) if isinstance(_fit(field, c, m), list))
-        need = next((f"this run needs n_max >= {m}" for m in fits), f"no n_max up to {top} runs it")
-        raise type(components)(f"{components}; {need}")
+        low, high = n_max, max(n_max, field.required_n_max(params.n_atoms))
+        if isinstance(_fit(field, c, high), Exception):
+            raise type(components)(f"{components}; no n_max up to {high} runs it")
+        while high - low > 1:  # the cutoff low is refused and high runs
+            mid = (low + high) // 2
+            if isinstance(_fit(field, c, mid), list):
+                high = mid
+            else:
+                low = mid
+        raise type(components)(f"{components}; this run needs n_max >= {high}")
     return n_max, components
 
 
 def _start(params: SystemParams, n: int, c: int, n_max: int) -> tuple[Block, np.ndarray]:
-    """Block n + c under the Fock cutoff n_max and component n's initial state |c, 0, n>."""
+    """Block n + c under the Fock cutoff n_max and component n's initial state.
+
+    That is |c,0> with n photons: (|S> + sqrt(N-1) |D>) / sqrt(N) with the
+    control atom excited, rung 0 of the symmetric ladder without.
+    """
     block = compile_propagator(params, n + c, n_max)
-    return block, block.unit_state(c, 0, n)
+    return block, np.where(block.rungs == c, block.control_share() if c else 1.0, 0.0)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -203,9 +217,8 @@ def component_outcome(
     The component starts as `_start` sets it up, evolves to t_m and takes the
     phase gate; the slow-model error (None without the control excitation)
     spans pt_times points of [0, t_m].  Memoized per process: callers pass
-    min(n_max, n + c) as the cutoff, since a block M that fits below the
-    cutoff is the same for every n_max >= M (only |0, 0, M> would lose a
-    coupling at n_max = M, and it has none).
+    min(n_max, n + c) as the cutoff, since block M is the same for every
+    n_max >= M: none of its rungs holds more than M photons.
     """
     block, initial = _start(params, n, c, n_max)
     # one-time grid rather than evolve: perfbench's tracer sizes every
@@ -221,7 +234,7 @@ def component_outcome(
         float(values["p_subradiant"]),
         float(values["jpjm"]),
         pt_error,
-        len(block.states),
+        len(block.rungs),
     )
 
 

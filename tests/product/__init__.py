@@ -1,6 +1,6 @@
 """The 2^N product-basis engine, kept as a small-N test oracle.
 
-`subrad` runs every path on the permutation-reduced |c, k, n> basis.  These
+`subrad` runs every path on two Tavis-Cummings ladders.  These
 modules hold the same physics on the full product basis of N atoms and one
 Fock mode, with no symmetry assumed, and the tests compare the two.  They
 mirror the package's layout: `hilbert` (basis and states), `model`

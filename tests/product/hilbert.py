@@ -6,7 +6,7 @@ Basis states are products |b_1 b_2 ... b_N> (x) |n> of an atomic bitstring
 number M = (number of excited atoms) + n, so the basis is partitioned into
 excitation blocks and every operator in this package is stored block by
 block.  This 2^N product basis is the test oracle that `subrad.dynamics`,
-which works on the permutation-reduced |c, k, n> basis, is checked against.
+which works on two Tavis-Cummings ladders, is checked against.
 
 Atomic configurations are encoded as integers whose binary digits, read
 left to right, give the state of atoms 1..N (atom k excited <=> bit

@@ -103,10 +103,10 @@ def test_protocol_runs_two_hundred_atoms(tmp_path):
     cfg = write_config(tmp_path, n_atoms=200, delta_over_g=100.0)
     assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())["report"]
-    # in the |c, k, n> basis the dark weight is the target weight, so the two meet up to rounding
+    # on the two ladders the only dark state in reach is the target, so the two meet up to rounding
     assert 0.0 <= report["fidelity_subradiant"] <= report["dfs_weight"] + 1e-12
     assert report["dfs_weight"] <= 1.0
-    # block 1 holds |0,0,1>, |0,1,0> and |1,0,0>
+    # block 1 holds rungs 0 and 1 of the symmetric ladder and rung 1 of the other
     assert report["meta"]["max_block_dim"] == 3
     rows = read_csv(tmp_path / "o" / "trajectory.csv")
     assert len(rows) == 400

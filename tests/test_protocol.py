@@ -20,6 +20,7 @@ from product.hilbert import (
 from product.model import collective_operator
 from product.perturb import effective_product_vector
 from product.protocol import dfs_weight, phase_gate
+import subrad.protocol
 from subrad import dynamics
 from subrad.fields import FieldSpec, TruncationError
 from subrad.model import SystemParams
@@ -298,7 +299,7 @@ def test_run_meta_has_one_shape(field):
     assert set(meta) == {"package_version", "n_max", "max_block_dim", "mixture_components"}
     comps = meta["mixture_components"]
     blocks = [dynamics.compile_propagator(params, c["n"] + 1, meta["n_max"]) for c in comps]
-    dims = [len(block.states) for block in blocks]
+    dims = [len(block.rungs) for block in blocks]
     assert meta["max_block_dim"] == max(dims) <= 2 * 3
     assert [(c["weight"], c["n"]) for c in comps] == field.components(meta["n_max"])
     recombined = sum(c["weight"] * c["fidelity_subradiant"] for c in comps)
@@ -357,6 +358,38 @@ def test_refusal_of_a_field_that_fits_no_cutoff():
             run(ratio_params(3), FieldSpec.coherent(40.0), ProtocolOptions(n_max=n_max))
 
 
+def counted_fit(monkeypatch):
+    """The cutoffs protocol._fit is tried at, in call order."""
+    fit, cutoffs = subrad.protocol._fit, []
+
+    def counted(field, c, n_max):
+        cutoffs.append(n_max)
+        return fit(field, c, n_max)
+
+    monkeypatch.setattr(subrad.protocol, "_fit", counted)
+    return cutoffs
+
+
+def test_refusal_of_a_field_that_fits_no_cutoff_tries_two_cutoffs(monkeypatch):
+    # the default cutoff is tried first; when it fails, no other cutoff is searched
+    cutoffs = counted_fit(monkeypatch)
+    with pytest.raises(TruncationError, match=r"no n_max up to \d+ runs it$"):
+        run(ratio_params(3), FieldSpec.coherent(40.0), ProtocolOptions(n_max=5))
+    assert cutoffs == [5, FieldSpec.coherent(40.0).required_n_max(3)]
+
+
+@pytest.mark.parametrize("n_max", [0, 5, 12])
+def test_cutoff_search_bisects(monkeypatch, n_max):
+    # thermal(0.3) first runs at n_max 13 (see the test above); the default cutoff is 23
+    params, field = ratio_params(3), FieldSpec.thermal(0.3)
+    top = field.required_n_max(3)
+    cutoffs = counted_fit(monkeypatch)
+    with pytest.raises((TruncationError, TruncationRefusal), match=r"needs n_max >= 13$"):
+        run(params, field, ProtocolOptions(n_max=n_max))
+    assert cutoffs[:2] == [n_max, top]
+    assert len(cutoffs) <= 2 + math.ceil(math.log2(top - n_max))
+
+
 def test_run_flags_invalid_but_proceeds():
     rep = run(ratio_params(10, ratio=30.0), FieldSpec.fock(9))
     assert rep.validity >= 0.3
@@ -390,7 +423,8 @@ def test_block_below_the_cutoff_does_not_depend_on_it(n_atoms, ratio, m_total, e
     params = ratio_params(n_atoms, ratio)
     tight = dynamics.compile_propagator(params, m_total, m_total)
     loose = dynamics.compile_propagator(params, m_total, m_total + extra)
-    assert np.array_equal(tight.states, loose.states)
+    assert np.array_equal(tight.rungs, loose.rungs)
+    assert np.array_equal(tight.ladder, loose.ladder)
     assert np.array_equal(tight.eigenvalues, loose.eigenvalues)
     assert np.array_equal(tight.eigenvectors, loose.eigenvectors)
 

@@ -1,5 +1,6 @@
-"""The permutation-reduced |c, k, n> engine against the product-basis engine."""
+"""The two-ladder engine against the product-basis engine and closed forms."""
 
+import cmath
 import math
 
 import numpy as np
@@ -16,7 +17,15 @@ from subrad import dynamics
 from subrad.dynamics import default_trajectory_times
 from subrad.fields import FieldSpec
 from subrad.model import SystemParams
-from subrad.protocol import ProtocolOptions, fock_components, plan, run, trajectory
+from subrad.protocol import (
+    ProtocolOptions,
+    _start,
+    component_outcome,
+    fock_components,
+    plan,
+    run,
+    trajectory,
+)
 
 G = 2 * math.pi * 24e3
 
@@ -137,8 +146,7 @@ def test_trajectory_on_clipped_blocks(n_atoms, n_max, excited):
     basis = build_basis(n_atoms, n_max)
     code = atom_code(0, n_atoms) if excited else 0
     for n in range(n_max + 1):
-        block = dynamics.compile_propagator(params, n + excited, n_max)
-        psi = block.unit_state(int(excited), 0, n)
+        block, psi = _start(params, n, int(excited), n_max)
         amps = np.concatenate(list(dynamics.evolve_grid(block, psi, times)))
         cols = dynamics.readouts(block, amps)
         cols["t_seconds"] = times
@@ -147,6 +155,52 @@ def test_trajectory_on_clipped_blocks(n_atoms, n_max, excited):
             assert ref.keys() == cols.keys()
             for key, value in ref.items():
                 assert cols[key][i] == pytest.approx(value, abs=1e-10), (n, key)
+
+
+def vacuum_fidelity(params, t, phi):
+    """F_0(t, phi): dark-target weight of |1, 0, 0> evolved for t, then gated.
+
+    Block 1 holds |1,0>, |0,1> (the other atoms' symmetric single excitation)
+    and the photon |0,0,1>.  The photon couples with g only to the control
+    atom and with g sqrt(N-1) to |0,1>, so only to |S> = (|1,0> +
+    sqrt(N-1)|0,1>) / sqrt(N), with g sqrt(N).  Without the block's constant
+    omega_c, |S> and the photon form a 2x2 Rabi problem [[-delta, g sqrt(N)],
+    [g sqrt(N), 0]], and |D> = (sqrt(N-1)|1,0> - |0,1>) / sqrt(N) stays at
+    -delta.  The gate multiplies psi10 by exp(-i phi).
+    """
+    nn, delta = params.n_atoms, params.delta
+    rabi = math.sqrt(delta**2 / 4 + nn * params.g**2)
+    rt = rabi * t
+    s = cmath.exp(0.5j * delta * t) * (math.cos(rt) + 0.5j * delta / rabi * math.sin(rt))
+    s /= math.sqrt(nn)
+    d = cmath.exp(1j * delta * t) * math.sqrt((nn - 1) / nn)
+    psi10 = cmath.exp(-1j * phi) * (s + math.sqrt(nn - 1) * d) / math.sqrt(nn)
+    psi01 = (math.sqrt(nn - 1) * s - d) / math.sqrt(nn)
+    return abs(math.sqrt(nn - 1) * psi10 - psi01) ** 2 / nn
+
+
+@given(
+    n_atoms=st.integers(2, 500),
+    ratio=st.floats(10.0, 1000.0),
+    sign=st.sampled_from([1, -1]),
+    fraction=st.floats(0.0, 3.0),
+    phi=st.floats(-math.pi, math.pi),
+)
+@settings(max_examples=100, deadline=None)
+def test_vacuum_component_matches_the_closed_form(n_atoms, ratio, sign, fraction, phi):
+    params = SystemParams.from_detuning_ratio(n_atoms, G, sign * ratio)
+    t = fraction * plan(params).t_m
+    fid = component_outcome(params, 0, 1, 1, t, phi, 1)[0]
+    floor = rounding_floor(params, FieldSpec.fock(0), t)
+    assert fid == pytest.approx(vacuum_fidelity(params, t, phi), abs=1e-12 + floor)
+
+
+def test_vacuum_closed_form_at_the_plan():
+    # the slow model's fidelity at (t_m, phi) is 1; F_0 reaches it up to O(g^2 N / delta^2)
+    params = SystemParams.from_detuning_ratio(10, G, 1000.0)
+    pl = plan(params)
+    assert vacuum_fidelity(params, pl.t_m, pl.phi) == pytest.approx(1.0, abs=1e-4)
+    assert vacuum_fidelity(params, 0.0, pl.phi) == pytest.approx(0.9, abs=1e-15)
 
 
 @pytest.mark.parametrize("n_atoms", range(1, 9))
@@ -193,8 +247,20 @@ def test_laboratory_frame_run_matches_the_atomic_frame():
 def test_block_has_at_most_two_n_states():
     params = SystemParams.from_detuning_ratio(200, G, 100.0)
     block = dynamics.compile_propagator(params, 150, 160)
-    assert len(block.states) == 2 * 150 + 1  # k = 0..149 for c = 1, 0..150 for c = 0
-    assert np.all(block.states.sum(axis=1) == 150)
+    assert len(block.rungs) == 2 * 150 + 1  # e = 0..150 on one ladder, 1..150 on the other
+    assert np.all((block.rungs <= 150) & (150 - block.rungs <= 160))  # every rung is in block 150
+
+
+@pytest.mark.parametrize("n_atoms", range(1, 9))
+@pytest.mark.parametrize("n_max", range(6))
+def test_block_size_is_the_count_of_c_k_n_states(n_atoms, n_max):
+    # meta.max_block_dim counts the states |c, k, n> (c + k + n = M) of the block
+    params = SystemParams.from_detuning_ratio(n_atoms, G, 30.0)
+    for m in range(n_atoms + n_max + 1):
+        count = sum(
+            0 <= m - c - k <= n_max for c in (0, 1) for k in range(n_atoms)
+        )
+        assert len(dynamics.compile_propagator(params, m, n_max).rungs) == count, m
 
 
 def test_compile_block_refuses_a_negative_cutoff():
@@ -204,8 +270,7 @@ def test_compile_block_refuses_a_negative_cutoff():
 
 def test_evolve_composes_and_inverts():
     params = SystemParams.from_detuning_ratio(5, G, 40.0)
-    block = dynamics.compile_propagator(params, 3, 4)
-    psi = block.unit_state(1, 0, 2)
+    block, psi = _start(params, 2, 1, 4)
     t1, t2 = 0.37 / params.alpha, 0.91 / params.alpha
     once = dynamics.evolve(block, psi, t1 + t2)
     twice = dynamics.evolve(block, dynamics.evolve(block, psi, t1), t2)
