@@ -17,8 +17,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,8 +109,7 @@ def _field(obj) -> FieldSpec:
     )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Parsed run configuration; see README for the JSON schema."""
 
     n_atoms: int
@@ -185,6 +184,8 @@ class RunConfig:
         t_final = evolve.get("t_final_seconds")
         spectrum = sections["spectrum"]
         if "block" in spectrum:
+            if "photons" in spectrum:
+                raise ConfigError("supply at most one of spectrum.block or spectrum.photons")
             block = _integer(spectrum["block"], "spectrum.block")
         else:
             block = _integer(spectrum.get("photons", 0), "spectrum.photons") + 1

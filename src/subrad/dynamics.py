@@ -31,7 +31,6 @@ times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -66,20 +65,45 @@ def dicke_multiplicity(n_atoms: int, j: float) -> int:
     return math.comb(n_atoms, k) - (math.comb(n_atoms, k - 1) if k >= 1 else 0)
 
 
-@dataclass(frozen=True, eq=False)
 class Block:
     """One excitation block as its two ladders, with their eigendecompositions.
 
     Amplitudes run over the symmetric ladder's rungs, then the other's.
+    Instances are frozen and compare by identity: they hold arrays.
     """
 
-    params: SystemParams
-    m_total: int
-    rungs: np.ndarray  # excited atoms e of each amplitude
-    ladder: np.ndarray  # N/2 - j of each amplitude: 0 symmetric, 1 the other
-    offset: float  # omega_c M - omega_a N/2, left out of the eigenvalues
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # real orthonormal columns, block diagonal by ladder
+    __slots__ = (
+        "params",
+        "m_total",
+        "rungs",  # excited atoms e of each amplitude
+        "ladder",  # N/2 - j of each amplitude: 0 symmetric, 1 the other
+        "offset",  # omega_c M - omega_a N/2, left out of the eigenvalues
+        "eigenvalues",
+        "eigenvectors",  # real orthonormal columns, block diagonal by ladder
+    )
+
+    def __init__(
+        self,
+        params: SystemParams,
+        m_total: int,
+        rungs: np.ndarray,
+        ladder: np.ndarray,
+        offset: float,
+        eigenvalues: np.ndarray,
+        eigenvectors: np.ndarray,
+    ):
+        values = (params, m_total, rungs, ladder, offset, eigenvalues, eigenvectors)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return Block, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def control_share(self) -> np.ndarray:
         """Overlap of each amplitude's state with |1, e-1> on its rung."""

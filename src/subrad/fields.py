@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +25,49 @@ class TruncationError(ValueError):
     """The requested Fock cutoff cannot hold the field's tail."""
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """Initial cavity field: a Fock level, a coherent state, or a thermal mix."""
+    """Initial cavity field: a Fock level, a coherent state, or a thermal mix.
 
-    kind: str
-    n: int = 0
-    amplitude: complex = 0j
-    mean_occupation: float = 0.0
+    Instances are frozen, and compare and hash by value.
+    """
 
-    def __post_init__(self):
-        if self.kind not in FIELD_KINDS:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == "fock" and self.n < 0:
-            raise ValueError(f"Fock level must be >= 0, got {self.n}")
-        if self.kind == "thermal" and self.mean_occupation < 0:
-            raise ValueError(f"mean occupation must be >= 0, got {self.mean_occupation}")
+    __slots__ = ("kind", "n", "amplitude", "mean_occupation")
+
+    def __init__(
+        self, kind: str, n: int = 0, amplitude: complex = 0j, mean_occupation: float = 0.0
+    ):
+        if kind not in FIELD_KINDS:
+            raise ValueError(f"unknown field kind {kind!r}")
+        if kind == "fock" and n < 0:
+            raise ValueError(f"Fock level must be >= 0, got {n}")
+        if kind == "thermal" and mean_occupation < 0:
+            raise ValueError(f"mean occupation must be >= 0, got {mean_occupation}")
+        for name, value in zip(self.__slots__, (kind, n, amplitude, mean_occupation)):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return (self.kind, self.n, self.amplitude, self.mean_occupation)
+
+    def __eq__(self, other):
+        if type(other) is not FieldSpec:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        values = self._values()
+        return "FieldSpec(kind={!r}, n={!r}, amplitude={!r}, mean_occupation={!r})".format(*values)
+
+    def __reduce__(self):
+        return FieldSpec, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     # -- constructors --------------------------------------------------------
 

@@ -11,29 +11,56 @@ excitation block at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class SystemParams:
     """Atom count, frequencies and coupling, with the derived slow scale.
 
     omega_a may be zero: that is the atomic rotating frame, in which only
     the detuning delta = omega_c - omega_a enters the block dynamics.
+    Instances are frozen, and compare and hash by value: they key the
+    per-process memo of `protocol.component_outcome`.
     """
 
-    n_atoms: int
-    omega_a: float  # atomic transition frequency, rad/s
-    omega_c: float  # cavity mode frequency, rad/s
-    g: float  # coupling, rad/s
+    __slots__ = (
+        "n_atoms",
+        "omega_a",  # atomic transition frequency, rad/s
+        "omega_c",  # cavity mode frequency, rad/s
+        "g",  # coupling, rad/s
+    )
 
-    def __post_init__(self):
-        if self.n_atoms < 1:
-            raise ValueError(f"need at least one atom, got {self.n_atoms}")
-        if self.g <= 0:
-            raise ValueError(f"coupling must be positive, got {self.g}")
-        if self.omega_c == self.omega_a:
+    def __init__(self, n_atoms: int, omega_a: float, omega_c: float, g: float):
+        if n_atoms < 1:
+            raise ValueError(f"need at least one atom, got {n_atoms}")
+        if g <= 0:
+            raise ValueError(f"coupling must be positive, got {g}")
+        if omega_c == omega_a:
             raise ValueError("detuning vanishes (omega_c == omega_a)")
+        for name, value in zip(self.__slots__, (n_atoms, omega_a, omega_c, g)):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return (self.n_atoms, self.omega_a, self.omega_c, self.g)
+
+    def __eq__(self, other):
+        if type(other) is not SystemParams:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        values = self._values()
+        return "SystemParams(n_atoms={!r}, omega_a={!r}, omega_c={!r}, g={!r})".format(*values)
+
+    def __reduce__(self):
+        return SystemParams, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def delta(self) -> float:

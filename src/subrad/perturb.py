@@ -19,8 +19,8 @@ frequency that drives the protocol and is independent of the photon number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from .dynamics import Block, evolve, evolve_grid, single_excitation_pair  # noqa
 from .model import SystemParams
 
 
-@dataclass(frozen=True)
-class EffectiveModel:
+class EffectiveModel(NamedTuple):
     """Closed-form second-order corrections and the slow rate (rad/s)."""
 
     delta_e1: float

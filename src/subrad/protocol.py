@@ -16,9 +16,10 @@ for negative detuning.
 from __future__ import annotations
 
 import cmath
+import copy
 import functools
 import math
-from dataclasses import asdict, dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +48,7 @@ class TruncationRefusal(RuntimeError):
     """Initial state puts non-negligible weight on a clipped block."""
 
 
-@dataclass(frozen=True)
-class ProtocolPlan:
+class ProtocolPlan(NamedTuple):
     """Matching time and control-atom phase for one parameter set."""
 
     t_m: float  # seconds
@@ -99,8 +99,7 @@ def fidelity(block: Block, amps: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProtocolOptions:
+class ProtocolOptions(NamedTuple):
     """Knobs for protocol.run; the defaults reproduce the standard scheme."""
 
     n_max: int | None = None  # Fock cutoff; None selects the conservative rule
@@ -111,44 +110,85 @@ class ProtocolOptions:
     seed: int | None = None  # echoed into reports; runs are deterministic
 
 
-@dataclass
 class ProtocolReport:
     """Timings, fidelities, dark-subspace weights and diagnostics for one run.
 
-    The fields are the keys of report.json, in its order.
+    The slots are the keys of report.json, in its order.  A report compares
+    by value and refuses, at construction, metrics out of order.
     """
 
-    n_atoms: int
-    g_rad_s: float
-    g_over_2pi_hz: float
-    delta_rad_s: float
-    delta_over_2pi_hz: float
-    alpha_per_s: float
-    t_m_seconds: float
-    t_m_microseconds: float
-    phi_radians: float
-    tm_branch: int
-    field: dict
-    fidelity_subradiant: float
-    dfs_weight: float
-    emission_expectation: float
-    validity: float
-    validity_grade: str
-    pt_coefficient_error: float | None
-    perturbation: dict
-    meta: dict = dataclass_field(default_factory=dict)
+    __slots__ = (
+        "n_atoms",
+        "g_rad_s",
+        "g_over_2pi_hz",
+        "delta_rad_s",
+        "delta_over_2pi_hz",
+        "alpha_per_s",
+        "t_m_seconds",
+        "t_m_microseconds",
+        "phi_radians",
+        "tm_branch",
+        "field",
+        "fidelity_subradiant",
+        "dfs_weight",
+        "emission_expectation",
+        "validity",
+        "validity_grade",
+        "pt_coefficient_error",
+        "perturbation",
+        "meta",
+    )
 
-    def __post_init__(self):
-        if not (
-            -1e-10 <= self.fidelity_subradiant <= self.dfs_weight + 1e-10 <= 1.0 + 2e-10
-        ):
+    def __init__(
+        self,
+        n_atoms: int,
+        g_rad_s: float,
+        g_over_2pi_hz: float,
+        delta_rad_s: float,
+        delta_over_2pi_hz: float,
+        alpha_per_s: float,
+        t_m_seconds: float,
+        t_m_microseconds: float,
+        phi_radians: float,
+        tm_branch: int,
+        field: dict,
+        fidelity_subradiant: float,
+        dfs_weight: float,
+        emission_expectation: float,
+        validity: float,
+        validity_grade: str,
+        pt_coefficient_error: float | None,
+        perturbation: dict,
+        meta: dict | None = None,  # None = a new empty dict
+    ):
+        if not -1e-10 <= fidelity_subradiant <= dfs_weight + 1e-10 <= 1.0 + 2e-10:
             raise ValueError(
                 "metric ordering violated: expected 0 <= fidelity <= dfs <= 1, got "
-                f"fidelity={self.fidelity_subradiant}, dfs={self.dfs_weight}"
+                f"fidelity={fidelity_subradiant}, dfs={dfs_weight}"
             )
+        values = locals()
+        for name in self.__slots__:
+            setattr(self, name, values[name])
+        if meta is None:
+            self.meta = {}
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not ProtocolReport:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"ProtocolReport({fields})"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as a new dict, nested dicts and lists copied."""
+        return copy.deepcopy(dict(zip(self.__slots__, self._values())))
 
 
 def _fit(field: FieldSpec, c: int, n_max: int) -> list | Exception:

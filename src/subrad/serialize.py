@@ -9,8 +9,12 @@ RFC 4180 (the quote doubled), and every other cell is written bare.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Iterable
+
+# a JSON string literal, escaped as RFC 8259 requires; other characters pass as they are
+_quote = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def format_float(x: float) -> str:
@@ -41,7 +45,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(_quote(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -51,7 +55,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
         for i, (k, v) in enumerate(items):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            out.append(f'{inner}"{k}": ')
+            out.append(f"{inner}{_quote(k)}: ")
             _emit(v, out, indent, level + 1)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")

@@ -127,6 +127,11 @@ def test_malformed_configs_exit_1(tmp_path, capsys):
     )
     assert main(["protocol", "--config", str(both), "--out", str(tmp_path)]) == 1
     assert "exactly one" in capsys.readouterr().err
+    blocks = write_config(
+        tmp_path, name="blocks.json", spectrum={"block": 2, "photons": "not a number"}
+    )
+    assert main(["spectrum", "--config", str(blocks), "--out", str(tmp_path / "o")]) == 1
+    assert "at most one of spectrum.block or spectrum.photons" in capsys.readouterr().err
 
     for field, key in (
         ({"kind": "thermal"}, "field.mean_n"),
@@ -537,7 +542,7 @@ def test_import_leaves_the_pool_and_the_product_basis_unloaded(tmp_path):
     code = (
         "import sys, subrad.cli; "
         f"assert subrad.cli.main({argv!r}) == 0; "
-        "unwanted = {'concurrent.futures', 'multiprocessing', 'subrad.hilbert'}; "
+        "unwanted = {'concurrent.futures', 'multiprocessing', 'subrad.hilbert', 'dataclasses'}; "
         "print(sorted(unwanted & set(sys.modules)))"
     )
     src = str(Path(subrad.__file__).parents[1])
@@ -753,3 +758,14 @@ def test_floats_emitted_with_17_digits(tmp_path):
     token = text.splitlines()[2].split(",")[3]
     assert float(token) == float(f"{float(token):.17g}")
     assert len(token.replace("-", "").replace(".", "").lstrip("0").split("e")[0]) <= 17
+
+
+def test_report_json_escapes_echoed_strings_and_keys(tmp_path):
+    # protocol checks only the key names of the sweep section and echoes its strings
+    sweep = {"axis": "mean\tn\né \"q\" \\", "values": [{'a "quoted" key\u0001': 1}]}
+    cfg = write_config(tmp_path, n_atoms=3, sweep=sweep)
+    assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "report.json").read_text(encoding="utf-8")
+    assert json.loads(text)["config"]["sweep"] == sweep
+    # characters that need no escape keep their bytes
+    assert '"mean\\tn\\né \\"q\\" \\\\"' in text

@@ -22,8 +22,10 @@ from product.perturb import effective_product_vector
 from product.protocol import dfs_weight, phase_gate
 import subrad.protocol
 from subrad import dynamics
+from subrad.cli import RunConfig
 from subrad.fields import FieldSpec, TruncationError
 from subrad.model import SystemParams
+from subrad.perturb import closed_form_corrections
 from subrad.protocol import (
     NoSubradiantSectorError,
     ProtocolOptions,
@@ -406,6 +408,97 @@ def test_report_round_trip_and_invariant():
         bad = rep.to_dict()
         bad["fidelity_subradiant"] = bad["dfs_weight"] + 1e-3
         ProtocolReport(**bad)
+
+
+def _thermal_report():
+    return run(ratio_params(3), FieldSpec.thermal(0.3), ProtocolOptions(seed=11))
+
+
+def _disordered_report():
+    fields = {**_thermal_report().to_dict(), "fidelity_subradiant": 0.9, "dfs_weight": 0.5}
+    return ProtocolReport(**fields)
+
+
+# make an instance; a field that refuses assignment (None: the type is mutable);
+# whether equal instances compare and hash equal; [(refused constructor, message)]
+VALUE_TYPES = [
+    pytest.param(
+        lambda: ratio_params(3),
+        "g",
+        True,
+        [
+            (lambda: SystemParams(0, 0.0, 1.0, 1.0), "need at least one atom, got 0"),
+            (lambda: SystemParams(2, 0.0, 1.0, -1.0), "coupling must be positive, got -1.0"),
+            (lambda: SystemParams(2, 1.0, 1.0, 1.0), "detuning vanishes (omega_c == omega_a)"),
+        ],
+        id="SystemParams",
+    ),
+    pytest.param(
+        lambda: FieldSpec.coherent(0.5 + 0.25j),
+        "amplitude",
+        True,
+        [
+            (lambda: FieldSpec("squeezed"), "unknown field kind 'squeezed'"),
+            (lambda: FieldSpec.fock(-1), "Fock level must be >= 0, got -1"),
+            (lambda: FieldSpec.thermal(-0.5), "mean occupation must be >= 0, got -0.5"),
+        ],
+        id="FieldSpec",
+    ),
+    pytest.param(
+        lambda: dynamics.compile_propagator(ratio_params(3), 2, 4), "rungs", False, [], id="Block"
+    ),
+    pytest.param(
+        lambda: closed_form_corrections(ratio_params(3), 1), "alpha", False, [], id="EffectiveModel"
+    ),
+    pytest.param(lambda: plan(ratio_params(3)), "phi", False, [], id="ProtocolPlan"),
+    pytest.param(lambda: ProtocolOptions(n_max=9), "n_max", False, [], id="ProtocolOptions"),
+    pytest.param(
+        _thermal_report,
+        None,
+        False,
+        [
+            (
+                _disordered_report,
+                "metric ordering violated: expected 0 <= fidelity <= dfs <= 1, "
+                "got fidelity=0.9, dfs=0.5",
+            )
+        ],
+        id="ProtocolReport",
+    ),
+    pytest.param(
+        lambda: RunConfig.from_json({"n_atoms": 3, "g_over_2pi_hz": 1e4, "delta_over_g": 50.0}),
+        "points",
+        False,
+        [],
+        id="RunConfig",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, frozen_field, by_value, refusals", VALUE_TYPES)
+def test_value_type_contract(make, frozen_field, by_value, refusals):
+    value = make()
+    if frozen_field is None:
+        # the mutable report hands out a copy, nested dicts and lists included
+        before = value.to_dict()
+        copied = value.to_dict()
+        copied["field"]["kind"] = "fock"
+        copied["perturbation"].clear()
+        copied["meta"]["mixture_components"][0]["n"] = -1
+        copied["meta"]["mixture_components"].append({})
+        copied["meta"]["seed"] = 0
+        assert value.to_dict() == before
+    else:
+        with pytest.raises(AttributeError):
+            setattr(value, frozen_field, getattr(value, frozen_field))
+        with pytest.raises(AttributeError):
+            delattr(value, frozen_field)
+    if by_value:
+        again = make()
+        assert again is not value and again == value and hash(again) == hash(value)
+    for build, message in refusals:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 # -- per-process reuse of component outcomes -------------------------------------
