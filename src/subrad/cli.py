@@ -13,7 +13,6 @@ without allow_invalid), 1 anything else, usage errors included.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -490,18 +489,23 @@ def cmd_evolve(config: RunConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+COMMANDS = {
+    "protocol": "single preparation run: report JSON + trajectory CSV",
+    "sweep": "parameter sweep to CSV, one row per grid point",
+    "spectrum": "block eigenvalues with slow-model assignments to CSV",
+    "evolve": "trajectory CSV without the phase gate",
+}
+
+
+def _build_parser():
+    import argparse  # loaded only when _plain_args declines an argv or a config is refused
+
     parser = argparse.ArgumentParser(
         prog="subrad",
         description="Dispersive-cavity dark-state preparation simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("protocol", "single preparation run: report JSON + trajectory CSV"),
-        ("sweep", "parameter sweep to CSV, one row per grid point"),
-        ("spectrum", "block eigenvalues with slow-model assignments to CSV"),
-        ("evolve", "trajectory CSV without the phase gate"),
-    ):
+    for name, help_text in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=".", help="output directory (default: .)")
@@ -511,32 +515,69 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: list) -> dict | None:
+    """The arguments of `<command> --flag value ...`, or None to leave argv to argparse.
+
+    Takes the command, then --config (required), --out, --seed and, for
+    sweep, --jobs (at least 1), each at most once and spelled out, with a
+    value that does not start with '-'; the integers go through int() as
+    argparse's do.  Anything else (help, abbreviations, --flag=value,
+    repeats, bad integers, extra tokens) is declined, so the parser of
+    _build_parser stays the one authority on usage; on what it accepts,
+    the result equals vars() of that parser's namespace.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = {"--config", "--out", "--seed"}
+    args = {"command": argv[0], "out": ".", "seed": None}
+    if argv[0] == "sweep":
+        flags.add("--jobs")
+        args["jobs"] = 1
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or not isinstance(value, str) or value.startswith("-"):
+            return None
+        flags.remove(flag)
+        if flag in ("--seed", "--jobs"):
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+            if flag == "--jobs" and value < 1:
+                return None
+        args[flag[2:]] = value
+    return None if "--config" in flags else args
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        parser = _build_parser()
+        try:
+            args = vars(parser.parse_args(argv))
+            if args["command"] == "sweep" and args["jobs"] < 1:
+                parser.error(f"argument --jobs: must be at least 1, got {args['jobs']}")
+        except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+            return 1 if exc.code else 0
     try:
-        args = parser.parse_args(argv)
-        if args.command == "sweep" and args.jobs < 1:
-            parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
-    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
-        return 1 if exc.code else 0
-    try:
-        config = _load_config(args.config)
-        if args.seed is not None:
+        config = _load_config(args["config"])
+        if args["seed"] is not None:
             raw = dict(config.raw)
-            raw["seed"] = args.seed
+            raw["seed"] = args["seed"]
             config = RunConfig.from_json(raw)
-        out_dir = Path(args.out)
-        if args.command == "protocol":
+        out_dir = Path(args["out"])
+        command = args["command"]
+        if command == "protocol":
             return cmd_protocol(config, out_dir)
-        if args.command == "sweep":
+        if command == "sweep":
             return cmd_sweep(config, out_dir)
-        if args.command == "spectrum":
+        if command == "spectrum":
             return cmd_spectrum(config, out_dir)
-        if args.command == "evolve":
+        if command == "evolve":
             return cmd_evolve(config, out_dir)
         raise AssertionError("unreachable")
     except ConfigError as exc:
-        parser.print_usage(sys.stderr)
+        _build_parser().print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NoSubradiantSectorError as exc:

@@ -143,7 +143,7 @@ def _eigh(h: np.ndarray, m_total: int) -> tuple[np.ndarray, np.ndarray]:
     v = v * np.where(top < 0, -1.0, 1.0)
     resid = np.linalg.norm((v * w) @ v.T - h)
     scale = np.linalg.norm(h)
-    if resid > RECONSTRUCTION_TOL * max(scale, 1.0):
+    if not resid <= RECONSTRUCTION_TOL * max(scale, 1.0) < math.inf:  # NaN and overflow fail
         raise EigensolverError(
             f"block {m_total}: reconstruction error {resid:.3e} above "
             f"{RECONSTRUCTION_TOL:.0e} * {scale:.3e}"
@@ -190,7 +190,7 @@ def evolve_grid(block: Block, psi: np.ndarray, times) -> Iterator[np.ndarray]:
         amps = (np.exp(-1j * block.eigenvalues * t) * coeffs) @ v.T
         amps *= np.exp(-1j * block.offset * t)
         norms = np.linalg.norm(amps, axis=-1)
-        off = np.abs(norms - 1.0) > NORM_TOL
+        off = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN norms fail
         if np.any(off):
             raise ValueError(f"state norm {norms[off][0]} deviates from 1 beyond {NORM_TOL}")
         yield amps

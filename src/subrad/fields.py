@@ -10,7 +10,6 @@ geometric weights truncated at a 1e-8 tail and renormalized.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -146,7 +145,7 @@ class FieldSpec:
             return c
         if self.kind == "coherent":
             mean = abs(self.amplitude) ** 2
-            vacuum = cmath.exp(-mean / 2.0)
+            vacuum = math.exp(-mean / 2.0)
             if vacuum == 0:
                 raise TruncationError(
                     f"coherent field with |amp|^2={mean:.3g}: exp(-|amp|^2/2) underflows "

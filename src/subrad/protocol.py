@@ -15,8 +15,6 @@ for negative detuning.
 
 from __future__ import annotations
 
-import cmath
-import copy
 import functools
 import math
 from typing import NamedTuple
@@ -86,7 +84,8 @@ def phase_gate(block: Block, psi: np.ndarray, phi: float) -> np.ndarray:
     """
     u = block.control_share()
     same_rung = block.rungs[:, None] == block.rungs
-    return psi + (cmath.exp(-1j * phi) - 1.0) * u * ((same_rung * u) @ psi)
+    rotation = complex(math.cos(-phi), math.sin(-phi))  # exp(-i phi), as cmath.exp gives it
+    return psi + (rotation - 1.0) * u * ((same_rung * u) @ psi)
 
 
 def fidelity(block: Block, amps: np.ndarray) -> np.ndarray:
@@ -188,7 +187,16 @@ class ProtocolReport:
 
     def to_dict(self) -> dict:
         """The report as a new dict, nested dicts and lists copied."""
-        return copy.deepcopy(dict(zip(self.__slots__, self._values())))
+        return _copied(dict(zip(self.__slots__, self._values())))
+
+
+def _copied(value):
+    """`value` with every dict and list in it copied; other values are shared."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copied(item) for item in value]
+    return value
 
 
 def _fit(field: FieldSpec, c: int, n_max: int) -> list | Exception:

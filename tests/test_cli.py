@@ -1,6 +1,8 @@
 """Command-line interface: configs, exit codes, emitted files."""
 
+import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectrum_oracle
 import subrad
@@ -520,6 +524,11 @@ def test_usage_errors_exit_1(capsys, argv, message):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "usage: subrad" in capsys.readouterr().out
+    helps = []
+    for argv in (["protocol", "--help"], ["protocol", "-h"]):
+        assert main(argv) == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1] and helps[0].out.startswith("usage: subrad protocol [-h] --config")
 
 
 @pytest.mark.parametrize("command", ["protocol", "spectrum", "evolve"])
@@ -534,24 +543,107 @@ def test_jobs_only_on_sweep_exit_1(tmp_path, capsys, command):
 
 def test_import_leaves_the_pool_and_the_product_basis_unloaded(tmp_path):
     # A sweep runs its points in the CLI process, --jobs or not; the 2^N
-    # product basis is a test oracle, not part of the package.
+    # product basis is a test oracle, not part of the package.  A call spelled
+    # the plain way is parsed without argparse (and the gettext and locale it
+    # loads), and nothing on the run path needs copy or cmath.
     cfg = write_config(
         tmp_path, n_atoms=2, delta_over_g=100.0, sweep={"axis": "delta_ratio", "values": [40, 80]}
     )
-    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw"), "--jobs", "2"]
     code = (
-        "import sys, subrad.cli; "
-        f"assert subrad.cli.main({argv!r}) == 0; "
-        "unwanted = {'concurrent.futures', 'multiprocessing', 'subrad.hilbert', 'dataclasses'}; "
-        "print(sorted(unwanted & set(sys.modules)))"
+        "import sys; from subrad.cli import main; code = main(); "
+        "unwanted = {'concurrent.futures', 'multiprocessing', 'subrad.hilbert', 'dataclasses', "
+        "'argparse', 'gettext', 'locale', 'copy', 'cmath'}; "
+        "print(sorted(unwanted & set(sys.modules))); sys.exit(code)"
     )
     src = str(Path(subrad.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
-    assert len(read_csv(tmp_path / "sw" / "sweep.csv")) == 2
+    for command, jobs in (("sweep", ["--jobs", "2"]), ("protocol", []), ("spectrum", [])):
+        # started as the subrad console script starts it: main() reads sys.argv
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command), *jobs]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip().splitlines()[-1] == "[]", command
+    assert len(read_csv(tmp_path / "sweep" / "sweep.csv")) == 2
+    assert (tmp_path / "protocol" / "report.json").exists()
+    assert len(read_csv(tmp_path / "spectrum" / "spectrum.csv")) == 3
+
+
+def test_argparse_only_spellings_give_the_canonical_outputs(tmp_path, capsys):
+    cfg = str(write_config(tmp_path, n_atoms=3))
+    outputs = {}
+    for name, argv in {
+        "canonical": ["protocol", "--config", cfg, "--out", str(tmp_path / "canonical")],
+        "equals": ["protocol", f"--config={cfg}", "--out", str(tmp_path / "equals")],
+        "abbreviated": ["protocol", "--conf", cfg, "--out", str(tmp_path / "abbreviated")],
+        "repeated": [
+            "protocol", "--config", cfg, "--out", str(tmp_path / "first"),
+            "--out", str(tmp_path / "repeated"),
+        ],
+    }.items():
+        code = main(argv)
+        captured = capsys.readouterr()
+        out = tmp_path / name
+        outputs[name] = (
+            code, captured.out, captured.err,
+            (out / "report.json").read_bytes(), (out / "trajectory.csv").read_bytes(),
+        )
+    assert outputs["canonical"][0] == 0
+    for name, result in outputs.items():
+        assert result == outputs["canonical"], name
+    assert not (tmp_path / "first").exists()  # the last --out wins
+
+
+COMMANDS = ("protocol", "sweep", "spectrum", "evolve")
+FLAGS = ("--config", "--out", "--seed", "--jobs")
+# spellings only argparse takes or refuses: help, abbreviations, --flag=value,
+# the end of options, dashed or empty values, int() oddities and junk
+ODD_TOKENS = ("-h", "--help", "--conf", "--config=x", "--", "-5", "-x y", "", "simulate", "--Config")
+VALUES = ("0", "1", "2", " 3", "+4", "1_0", "x", "c.json", "")
+
+
+@st.composite
+def argvs(draw):
+    """A command with some of its flags and values, then up to two tokens replaced or inserted."""
+    command = draw(st.sampled_from(COMMANDS))
+    flags = draw(st.permutations(FLAGS if command == "sweep" else FLAGS[:3]))
+    argv = [command]
+    for flag in flags[: draw(st.integers(1, len(flags)))]:
+        argv += [flag, draw(st.sampled_from(VALUES))]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv) - 1))
+        token = draw(st.sampled_from(COMMANDS + FLAGS + ODD_TOKENS + VALUES))
+        if draw(st.booleans()):
+            argv.insert(i, token)
+        else:
+            argv[i] = token
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_plain_parser_agrees_with_argparse(argv):
+    plain = subrad.cli._plain_args(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(subrad.cli._build_parser().parse_args(argv))
+    except SystemExit:
+        assert plain is None, argv
+        return
+    if expected.get("jobs", 1) < 1:  # main's own usage error
+        assert plain is None, argv
+    elif plain is not None:
+        assert plain == expected, argv
+
+
+def test_evolve_of_a_detuning_that_overflows_exit_1(tmp_path, capsys):
+    # 1e300 g overflows the norm of H: the run's numbers would be NaN, so nothing is written
+    cfg = write_config(tmp_path, delta_over_g=1e300)
+    for command in ("evolve", "protocol"):
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 1
+        assert "EigensolverError" in capsys.readouterr().err
+        assert not (tmp_path / command / "trajectory.csv").exists()
 
 
 # -- spectrum ----------------------------------------------------------------

@@ -277,3 +277,17 @@ def test_evolve_composes_and_inverts():
     assert np.max(np.abs(once - twice)) < 1e-9
     back = dynamics.evolve(block, dynamics.evolve(block, psi, t1), -t1)
     assert np.max(np.abs(back - psi)) < 1e-9
+
+
+def test_evolve_grid_refuses_a_state_that_is_not_a_number():
+    # exp(-i E t) at t = inf is NaN, and a NaN norm must not pass the norm check
+    block, psi = _start(SystemParams.from_detuning_ratio(4, G, 30.0), 0, 1, 3)
+    with pytest.raises(ValueError, match="state norm nan"), np.errstate(all="ignore"):
+        list(dynamics.evolve_grid(block, psi, [0.0, math.inf]))
+
+
+def test_eigh_refuses_a_matrix_whose_residual_it_cannot_bound():
+    # the Frobenius norms of this matrix and of its residual overflow to inf
+    h = np.array([[1e308, 1e308], [1e308, -1e308]])
+    with pytest.raises(dynamics.EigensolverError, match="block 1"), np.errstate(all="ignore"):
+        dynamics._eigh(h, 1)
