@@ -401,67 +401,47 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
         # block 0 (photons -1) holds no single excitation
         raise ConfigError(f"block {sector_n} out of range 1..{nn + n_max}")
 
-    # Free levels of the block: e excited atoms and M - e photons, comb(N, e) states each.
-    free = {
-        e: params.omega_a * (e - nn / 2.0) + params.omega_c * (sector_n - e)
-        for e in range(nn + 1)
-        if 0 <= sector_n - e <= n_max
-    }
-    n_rows = sum(math.comb(nn, e) for e in free)
+    # Rung e of the block holds e excited atoms and M - e photons: comb(N, e) states.
+    n_rows = sum(math.comb(nn, e) for e in range(max(0, sector_n - n_max), min(nn, sector_n) + 1))
     if n_rows > SPECTRUM_MAX_ROWS:
         raise ConfigError(
             f"block {sector_n} has {n_rows} eigenvalues, above the {SPECTRUM_MAX_ROWS} "
             "rows of a spectrum"
         )
-    eigenvalues = spectrum(params, sector_n, n_max, h0_only)
+    values, rungs, ladders, counts = spectrum(params, sector_n, n_max, h0_only)
 
-    # Slow-model level set, as (value, label, count) in ascending order: the
-    # shifted degenerate sector (e = 1) and the unshifted free levels, one
-    # per e since omega_a != omega_c.
+    # Each ladder eigenvalue takes the slow-model level of the rung its rank
+    # connects to: on rung 1 the shifted symmetric state (ladder 0) or the
+    # dark states (ladder 1), on every other rung the unshifted free level.
     e0 = params.omega_a * (1 - nn / 2.0) + params.omega_c * (sector_n - 1)
     corrections = closed_form_corrections(params, sector_n)
     de1 = 0.0 if h0_only else corrections.delta_e1
     dei = 0.0 if h0_only or corrections.delta_ei is None else corrections.delta_ei
-    levels = [(e0 + de1, "delta_e1", 1), (e0 + dei, "delta_ei", nn - 1)]
-    levels += [(val, f"free_k{e}", math.comb(nn, e)) for e, val in free.items() if e != 1]
-    levels.sort(key=lambda lv: lv[0])
-
-    # Equal eigenvalues see equal distances, so the nearest level with room
-    # (first minimum on a tie) takes as many rows of a run of them as it has
-    # room for.  Runs split on the bits, keeping 0.0 and -0.0 apart; the
-    # capacities add up to at least the row count, so some level has room.
     scale = 2.0 * abs(params.alpha)
-    values = np.array([lv for lv, _, _ in levels])
-    left = np.array([count for _, _, count in levels])
-    starts = np.flatnonzero(np.diff(eigenvalues.view(np.int64))) + 1
-    bounds = [0, *starts.tolist(), len(eigenvalues)]
-    counts, rows = [], []
-    for start, stop in zip(bounds, bounds[1:]):
-        ev = eigenvalues[start]
-        distance = np.abs(ev - values)
-        remaining = stop - start
-        while remaining:
-            best = int(np.argmin(np.where(left > 0, distance, math.inf)))
-            take = min(remaining, int(left[best]))
-            left[best] -= take
-            remaining -= take
-            lv, label, _ = levels[best]
-            counts.append(take)
-            rows.append(
-                {
-                    "eigenvalue_rad_s": float(ev),
-                    "shift_from_e0_rad_s": float(ev - e0),
-                    "pt_level_rad_s": lv,
-                    "pt_shift_rad_s": lv - e0,
-                    "abs_error_rad_s": float(abs(ev - lv)),
-                    "rel_error_vs_2alpha": float(abs(ev - lv) / scale),
-                    "assignment": label,
-                }
-            )
+    rows = []
+    for ev, e, lo in zip(values, rungs.tolist(), ladders.tolist()):
+        if e == 1 and lo < 2:
+            label, lv = ("delta_e1", e0 + de1) if lo == 0 else ("delta_ei", e0 + dei)
+        else:
+            label = f"free_k{e}"
+            lv = params.omega_a * (e - nn / 2.0) + params.omega_c * (sector_n - e)
+        row = {
+            "eigenvalue_rad_s": float(ev),
+            "shift_from_e0_rad_s": float(ev - e0),
+            "pt_level_rad_s": lv,
+            "pt_shift_rad_s": lv - e0,
+            "abs_error_rad_s": float(abs(ev - lv)),
+            "rel_error_vs_2alpha": float(abs(ev - lv) / scale),
+        }
+        for column, value in row.items():
+            if not math.isfinite(value):
+                raise ValueError(f"block {sector_n}: {column} is {value}")
+        row["assignment"] = label
+        rows.append(row)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    serialize.write_csv(out_dir / "spectrum.csv", SPECTRUM_COLUMNS, rows, counts)
-    print(f"block M={sector_n}: {len(eigenvalues)} eigenvalues written")
+    serialize.write_csv(out_dir / "spectrum.csv", SPECTRUM_COLUMNS, rows, counts.tolist())
+    print(f"block M={sector_n}: {n_rows} eigenvalues written")
     return 0
 
 
@@ -567,14 +547,17 @@ def main(argv=None) -> int:
             config = RunConfig.from_json(raw)
         out_dir = Path(args["out"])
         command = args["command"]
-        if command == "protocol":
-            return cmd_protocol(config, out_dir)
-        if command == "sweep":
-            return cmd_sweep(config, out_dir)
-        if command == "spectrum":
-            return cmd_spectrum(config, out_dir)
-        if command == "evolve":
-            return cmd_evolve(config, out_dir)
+        # Overflow and the like are not warned about: every command refuses a
+        # non-finite result with its own error.
+        with np.errstate(all="ignore"):
+            if command == "protocol":
+                return cmd_protocol(config, out_dir)
+            if command == "sweep":
+                return cmd_sweep(config, out_dir)
+            if command == "spectrum":
+                return cmd_spectrum(config, out_dir)
+            if command == "evolve":
+                return cmd_evolve(config, out_dir)
         raise AssertionError("unreachable")
     except ConfigError as exc:
         _build_parser().print_usage(sys.stderr)

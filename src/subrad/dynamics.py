@@ -25,7 +25,9 @@ laboratory frame, where omega_a exceeds delta by orders of magnitude.  A
 whole time grid is evaluated as V (exp(-i w t') * (V' psi)), a fixed number
 of times per product.  The spectrum of a whole product block is the union
 of the ladders of every total spin j, each repeated dicke_multiplicity(N, j)
-times.
+times.  A ladder is an irreducible tridiagonal matrix, so its eigenvalues
+never cross as g grows from 0: the r-th smallest one belongs to the rung of
+the r-th smallest diagonal entry, which names its slow-model level.
 """
 
 from __future__ import annotations
@@ -234,23 +236,36 @@ def default_trajectory_times(params: SystemParams, points: int = 400) -> np.ndar
     return np.linspace(0.0, 2.0 * np.pi / abs(params.alpha), points)
 
 
-def spectrum(params: SystemParams, m_total: int, n_max: int, h0_only: bool = False) -> np.ndarray:
-    """Ascending eigenvalues of product block M, with multiplicity.
+def spectrum(
+    params: SystemParams, m_total: int, n_max: int, h0_only: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues of product block M, ascending, one per ladder eigenvalue.
 
     Each total spin j contributes the Tavis-Cummings ladder over
     e = N/2 - j .. N/2 + j excited atoms with n = M - e photons in
-    [0, n_max], repeated dicke_multiplicity(N, j) times.  `h0_only` drops
-    the coupling.
+    [0, n_max].  Returns four arrays: the eigenvalues, the rung e that each
+    one's rank connects to, its ladder lo = N/2 - j, and the multiplicity
+    dicke_multiplicity(N, j) of that ladder in the block.  Equal eigenvalues
+    keep ladder order.  `h0_only` drops the coupling.
     """
     nn = params.n_atoms
     g = 0.0 if h0_only else params.g
     parts = []
-    for two_j in range(nn % 2, nn + 1, 2):
+    for lo in range(nn // 2 + 1):
         e, h = _ladder(
-            params, (nn - two_j) // 2, m_total, n_max, g,
+            params, lo, m_total, n_max, g,
             lambda e, n: params.omega_a * (e - nn / 2.0) + params.omega_c * n,
         )
-        if e.size == 0:
-            continue
-        parts.append(np.repeat(np.linalg.eigvalsh(h), dicke_multiplicity(nn, two_j / 2)))
-    return np.sort(np.concatenate(parts)) if parts else np.empty(0)
+        if e.size == 0:  # and so is every ladder above it
+            break
+        parts.append(
+            (
+                np.linalg.eigvalsh(h),
+                e[np.argsort(np.diag(h), kind="stable")],
+                np.full(e.size, lo),
+                np.full(e.size, dicke_multiplicity(nn, nn / 2.0 - lo)),
+            )
+        )
+    values, rungs, ladders, counts = (np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(values, kind="stable")
+    return values[order], rungs[order], ladders[order], counts[order]

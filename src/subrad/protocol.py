@@ -219,15 +219,15 @@ def fock_components(
 ) -> tuple[int, list[tuple[float, int]]]:
     """The Fock cutoff and the field's photon-number weights [(p_n, n)].
 
-    Component n starts in |c, 0, n> of block n + c, c = 1 when the control
-    atom is excited.  A cutoff is refused if the field does not fit under it
-    (TruncationError) or if it clips a block of a component heavier than
-    TRUNCATION_WEIGHT_LIMIT (TruncationRefusal).  Either message names the
-    smallest cutoff that runs.  A higher cutoff only lowers the clipped
-    weights, so the search tries the default cutoff, which any field that
-    fits some cutoff also fits (a coherent field with a mean above about
-    1490 underflows and fits none), and bisects between it and the refused
-    one.
+    Component n starts with n photons on rung c of block n + c, c = 1 when
+    the control atom is excited.  A cutoff is refused if the field does not
+    fit under it (TruncationError) or if it clips a block of a component
+    heavier than TRUNCATION_WEIGHT_LIMIT (TruncationRefusal).  Either
+    message names the smallest cutoff that runs.  A higher cutoff only
+    lowers the clipped weights, so the search tries the default cutoff,
+    which any field that fits some cutoff also fits (a coherent field with
+    a mean above about 1490 underflows and fits none), and bisects between
+    it and the refused one.
     """
     n_max = options.n_max if options.n_max is not None else field.required_n_max(params.n_atoms)
     c = 1 if options.excite_control else 0

@@ -1,10 +1,11 @@
-"""The per-row level assignment of `subrad spectrum`, kept as a test oracle.
+"""The greedy level assignment that `subrad spectrum` once used, kept as a test oracle.
 
-`cli.cmd_spectrum` assigns each run of equal eigenvalues at once and renders
-its cells once.  This module keeps the rule it must reproduce, one row at a
-time: each eigenvalue, in ascending order, takes the nearest slow-model level
-that has room left (first minimum on a tie), and every row is built and
-written on its own.
+`cli.cmd_spectrum` labels each ladder eigenvalue by the rung its rank
+connects to as g -> 0.  This module keeps the older rule, one row at a time:
+each eigenvalue, in ascending order, takes the nearest slow-model level that
+has room left (first minimum on a tie), and every row is built and written on
+its own.  The two rules give the same bytes wherever the slow-model levels
+are far enough apart; `tests/test_cli.py` names where they differ.
 """
 
 import math
@@ -32,7 +33,8 @@ def spectrum_rows(config: RunConfig) -> list[dict]:
         for e in range(nn + 1)
         if 0 <= sector_n - e <= n_max
     }
-    eigenvalues = spectrum(params, sector_n, n_max, h0_only)
+    values, _, _, counts = spectrum(params, sector_n, n_max, h0_only)
+    eigenvalues = np.repeat(values, counts)
 
     e0 = params.omega_a * (1 - nn / 2.0) + params.omega_c * (sector_n - 1)
     corrections = closed_form_corrections(params, sector_n)

@@ -646,6 +646,22 @@ def test_evolve_of_a_detuning_that_overflows_exit_1(tmp_path, capsys):
         assert not (tmp_path / command / "trajectory.csv").exists()
 
 
+def test_a_detuning_that_overflows_prints_only_the_refusal(tmp_path):
+    # numpy's overflow warnings stay off stderr: the refusal is its one line
+    cfg = write_config(tmp_path, n_atoms=4, delta_over_g=1e300, spectrum={"block": 2})
+    src = str(Path(subrad.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for command in ("protocol", "evolve", "spectrum"):
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "subrad.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 1, command
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert not (tmp_path / command).exists()
+
+
 # -- spectrum ----------------------------------------------------------------
 
 
@@ -700,17 +716,46 @@ SPECTRUM_FRAMES = {
 }
 
 
-def assert_spectrum_matches_oracle(tmp_path, capsys, raw):
-    """Run `subrad spectrum` on `raw`; compare its file with the per-row oracle."""
+def spectrum_and_oracle(tmp_path, capsys, raw) -> tuple[bytes, bytes]:
+    """Run `subrad spectrum` on `raw`; return its file and the greedy oracle's."""
     cfg = tmp_path / "spectrum.json"
     cfg.write_text(json.dumps(raw))
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     config = RunConfig.from_json(raw)
     spectrum_oracle.write_spectrum_csv(config, tmp_path / "oracle.csv")
     expected = (tmp_path / "oracle.csv").read_bytes()
-    assert (tmp_path / "spectrum.csv").read_bytes() == expected, raw
     rows = expected.count(b"\n") - 1
     assert capsys.readouterr().out == f"block M={config.spectrum_block}: {rows} eigenvalues written\n"
+    return (tmp_path / "spectrum.csv").read_bytes(), expected
+
+
+def assert_spectrum_matches_oracle(tmp_path, capsys, raw):
+    got, expected = spectrum_and_oracle(tmp_path, capsys, raw)
+    assert got == expected, raw
+
+
+LEVEL_COLUMNS = ("pt_level_rad_s", "pt_shift_rad_s", "assignment")
+ERROR_COLUMNS = ("abs_error_rad_s", "rel_error_vs_2alpha")
+
+
+def assert_one_excitation_labels_traded(got: bytes, expected: bytes, raw):
+    """`got` is `expected` with one delta_e1 row and one delta_ei row trading levels.
+
+    The oracle gives delta_e1 to an eigenvalue of the j = N/2 - 1 ladder and
+    delta_ei to the rung-1 eigenvalue of the j = N/2 ladder; the rank rule
+    gives each the level of its own ladder.  Eigenvalue columns stay.
+    """
+    got, expected = (list(csv.DictReader(io.StringIO(text.decode()))) for text in (got, expected))
+    assert len(got) == len(expected), raw
+    changed = [i for i, (a, b) in enumerate(zip(got, expected)) if a != b]
+    assert len(changed) == 2, raw
+    i, k = changed
+    assert {got[i]["assignment"], got[k]["assignment"]} == {"delta_e1", "delta_ei"}, raw
+    for a, b in ((i, k), (k, i)):
+        assert [got[a][c] for c in LEVEL_COLUMNS] == [expected[b][c] for c in LEVEL_COLUMNS], raw
+        assert {c for c in got[a] if got[a][c] != expected[a][c]} == {
+            *LEVEL_COLUMNS, *ERROR_COLUMNS
+        }, raw
 
 
 @pytest.mark.parametrize("n_atoms", range(1, 10))
@@ -723,7 +768,13 @@ def test_spectrum_csv_matches_the_per_row_oracle(tmp_path, capsys, n_atoms):
             raw["spectrum"] = {"block": block, "h0_only": h0_only}
             if n_max is not None:
                 raw["options"] = {"n_max": n_max}
-            assert_spectrum_matches_oracle(tmp_path, capsys, raw)
+            got, expected = spectrum_and_oracle(tmp_path, capsys, raw)
+            # 16 spectra of the grid: below zero detuning, in the block whose
+            # rung 0 the cutoff clips, the greedy labels differ from the ranks
+            if frame == "negative_detuning" and not h0_only and block - 1 == n_max and n_atoms > 1:
+                assert_one_excitation_labels_traded(got, expected, raw)
+            else:
+                assert got == expected, raw
 
 
 def test_spectrum_csv_of_a_large_block_matches_the_per_row_oracle(tmp_path, capsys):
@@ -732,10 +783,54 @@ def test_spectrum_csv_of_a_large_block_matches_the_per_row_oracle(tmp_path, caps
     assert_spectrum_matches_oracle(tmp_path, capsys, raw)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n_atoms=st.integers(1, 12),
+    block=st.integers(1, 17),
+    headroom=st.one_of(st.none(), st.integers(0, 4)),
+    ratio=st.floats(30.0, 3000.0),
+    negative=st.booleans(),
+    h0_only=st.booleans(),
+)
+def test_rank_labels_match_the_greedy_oracle_at_large_detuning(
+    tmp_path_factory, n_atoms, block, headroom, ratio, negative, h0_only
+):
+    # an unclipped block: the cutoff leaves every rung 0..min(N, M) in it
+    raw = {"n_atoms": n_atoms, "g_over_2pi_hz": G_HZ, "delta_over_g": -ratio if negative else ratio}
+    raw["spectrum"] = {"block": block, "h0_only": h0_only}
+    if headroom is not None:
+        raw["options"] = {"n_max": block + headroom}
+    tmp_path = tmp_path_factory.mktemp("spectrum")
+    cfg = tmp_path / "spectrum.json"
+    cfg.write_text(json.dumps(raw))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    spectrum_oracle.write_spectrum_csv(RunConfig.from_json(raw), tmp_path / "oracle.csv")
+    assert (tmp_path / "spectrum.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes(), raw
+
+
+def test_spectrum_labels_the_single_dark_rung_delta_ei(tmp_path, capsys):
+    # N=2, block 3 under n_max 2: the j = 0 ladder is rung 1 alone, so its
+    # eigenvalue is the delta_ei level itself; the greedy oracle labels it delta_e1
+    raw = {"n_atoms": 2, "g_over_2pi_hz": G_HZ, "delta_over_g": -30.0}
+    raw["spectrum"] = {"block": 3}
+    raw["options"] = {"n_max": 2}
+    got, expected = spectrum_and_oracle(tmp_path, capsys, raw)
+    assert_one_excitation_labels_traded(got, expected, raw)
+    rows = read_csv(tmp_path / "spectrum.csv")
+    assert [(r["eigenvalue_rad_s"], r["assignment"]) for r in rows] == [
+        ("-9067804.4600652345", "delta_e1"),
+        ("-9047786.8423386049", "delta_ei"),
+        ("-4503875.8034426719", "free_k2"),
+    ]
+    assert rows[1]["abs_error_rad_s"] == rows[1]["rel_error_vs_2alpha"] == "0"
+
+
 def test_spectrum_keeps_zero_and_negative_zero_apart(tmp_path, capsys, monkeypatch):
-    # 0.0 == -0.0, but they print as "0" and "-0": one run would print one of them
+    # 0.0 == -0.0, but they print as "0" and "-0": rows of equal values print apart
     def fake(*args):
-        return np.array([-0.0, -0.0, 0.0, 0.0])
+        values, rungs, ladders, counts = [-0.0, -0.0, 0.0], [1, 1, 0], [0, 1, 0], [1, 2, 1]
+        return tuple(map(np.array, (values, rungs, ladders, counts)))
 
     monkeypatch.setattr(subrad.cli, "spectrum", fake)
     monkeypatch.setattr(spectrum_oracle, "spectrum", fake)
@@ -743,7 +838,15 @@ def test_spectrum_keeps_zero_and_negative_zero_apart(tmp_path, capsys, monkeypat
     raw["spectrum"] = {"block": 1, "h0_only": True}
     assert_spectrum_matches_oracle(tmp_path, capsys, raw)
     cells = [r["eigenvalue_rad_s"] for r in read_csv(tmp_path / "spectrum.csv")]
-    assert cells == ["-0", "-0", "0", "0"]
+    assert cells == ["-0", "-0", "-0", "0"]
+
+
+def test_spectrum_refuses_non_finite_values(tmp_path, capsys):
+    # 2 alpha is about 1e-295 rad/s: the errors relative to it overflow
+    cfg = write_config(tmp_path, n_atoms=4, delta_over_g=1e300, spectrum={"block": 2})
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "sp")]) == 1
+    assert "rel_error_vs_2alpha is inf" in capsys.readouterr().err
+    assert not (tmp_path / "sp").exists()
 
 
 def test_spectrum_refuses_more_rows_than_it_can_hold(tmp_path, capsys):

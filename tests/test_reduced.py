@@ -213,7 +213,8 @@ def test_spectrum_matches_product_blocks(n_atoms, n_max, h0_only):
     builder = build_h0 if h0_only else build_hamiltonian
     for m in basis.block_ids:
         expected = np.linalg.eigvalsh(builder(params, basis, block_ids=[m]).block(m))
-        got = dynamics.spectrum(params, m, n_max, h0_only)
+        values, _, _, counts = dynamics.spectrum(params, m, n_max, h0_only)
+        got = np.repeat(values, counts)
         assert got.shape == expected.shape, m
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= 1e-10 * scale, m
@@ -224,7 +225,8 @@ def test_spectrum_in_the_laboratory_frame():
     basis = build_basis(5, 4)
     for m in basis.block_ids:
         expected = np.linalg.eigvalsh(build_hamiltonian(params, basis, block_ids=[m]).block(m))
-        got = dynamics.spectrum(params, m, 4)
+        values, _, _, counts = dynamics.spectrum(params, m, 4)
+        got = np.repeat(values, counts)
         assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected)), m
 
 
