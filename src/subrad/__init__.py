@@ -21,7 +21,6 @@ from .protocol import (
     ProtocolOptions,
     ProtocolPlan,
     ProtocolReport,
-    fidelity,
     phase_gate,
     plan,
     run,
@@ -39,7 +38,6 @@ __all__ = [
     "closed_form_corrections",
     "compile_propagator",
     "evolve",
-    "fidelity",
     "phase_gate",
     "plan",
     "run",

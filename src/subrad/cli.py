@@ -103,9 +103,13 @@ def _field(obj) -> FieldSpec:
     if required is not None and required not in obj:
         raise ConfigError(f"config is missing required key 'field.{required}'")
     number = _integer if kind == "fock" else _real
-    return FieldSpec.from_json(
-        {k: v if k == "kind" else number(v, f"field.{k}") for k, v in obj.items()}
-    )
+    values = {k: number(v, f"field.{k}") for k, v in obj.items() if k != "kind"}
+    if kind == "fock":
+        return FieldSpec.fock(values["n"])
+    if kind == "thermal":
+        return FieldSpec.thermal(values["mean_n"])
+    real, imag = (values.get(k, 0.0) for k in ("amplitude_re", "amplitude_im"))
+    return FieldSpec.coherent(complex(real, imag))
 
 
 class RunConfig(NamedTuple):
@@ -331,7 +335,9 @@ def _sweep_point(idx: int, axis: str, value: float, cfg: dict) -> dict:
         report = run(params, config.field, config.options)
         row.update(
             n_atoms=params.n_atoms,
-            delta_over_g=params.delta / params.g,
+            delta_over_g=(
+                params.delta / params.g if config.delta_over_g is None else config.delta_over_g
+            ),
             g_over_2pi_hz=config.g_over_2pi_hz,
             field_kind=config.field.kind,
             field_mean_n=config.field.mean_n,
@@ -413,9 +419,13 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
     # Each ladder eigenvalue takes the slow-model level of the rung its rank
     # connects to: on rung 1 the shifted symmetric state (ladder 0) or the
     # dark states (ladder 1), on every other rung the unshifted free level.
+    # A block above the cutoff has no rung 0, whose second-order term
+    # -N M g^2 / delta the closed form of delta_e1 holds; it is taken out.
     e0 = params.omega_a * (1 - nn / 2.0) + params.omega_c * (sector_n - 1)
     corrections = closed_form_corrections(params, sector_n)
     de1 = 0.0 if h0_only else corrections.delta_e1
+    if sector_n > n_max and not h0_only:
+        de1 += nn * sector_n * params.g**2 / params.delta
     dei = 0.0 if h0_only or corrections.delta_ei is None else corrections.delta_ei
     scale = 2.0 * abs(params.alpha)
     rows = []

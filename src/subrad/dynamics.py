@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import SystemParams
+from .model import FrozenRecord, SystemParams
 
 NORM_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-10
@@ -67,11 +67,11 @@ def dicke_multiplicity(n_atoms: int, j: float) -> int:
     return math.comb(n_atoms, k) - (math.comb(n_atoms, k - 1) if k >= 1 else 0)
 
 
-class Block:
+class Block(FrozenRecord):
     """One excitation block as its two ladders, with their eigendecompositions.
 
     Amplitudes run over the symmetric ladder's rungs, then the other's.
-    Instances are frozen and compare by identity: they hold arrays.
+    Instances compare and hash by identity: they hold arrays.
     """
 
     __slots__ = (
@@ -94,18 +94,10 @@ class Block:
         eigenvalues: np.ndarray,
         eigenvectors: np.ndarray,
     ):
-        values = (params, m_total, rungs, ladder, offset, eigenvalues, eigenvectors)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        self._set(params, m_total, rungs, ladder, offset, eigenvalues, eigenvectors)
 
-    def __reduce__(self):
-        return Block, tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def control_share(self) -> np.ndarray:
         """Overlap of each amplitude's state with |1, e-1> on its rung."""

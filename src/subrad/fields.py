@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .model import FrozenRecord
+
 TAIL_MASS = 1e-8
 WEIGHT_FLOOR = 1e-14  # pure-field components below this weight are dropped
 
@@ -24,11 +26,8 @@ class TruncationError(ValueError):
     """The requested Fock cutoff cannot hold the field's tail."""
 
 
-class FieldSpec:
-    """Initial cavity field: a Fock level, a coherent state, or a thermal mix.
-
-    Instances are frozen, and compare and hash by value.
-    """
+class FieldSpec(FrozenRecord):
+    """Initial cavity field: a Fock level, a coherent state, or a thermal mix."""
 
     __slots__ = ("kind", "n", "amplitude", "mean_occupation")
 
@@ -41,32 +40,7 @@ class FieldSpec:
             raise ValueError(f"Fock level must be >= 0, got {n}")
         if kind == "thermal" and mean_occupation < 0:
             raise ValueError(f"mean occupation must be >= 0, got {mean_occupation}")
-        for name, value in zip(self.__slots__, (kind, n, amplitude, mean_occupation)):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return (self.kind, self.n, self.amplitude, self.mean_occupation)
-
-    def __eq__(self, other):
-        if type(other) is not FieldSpec:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        values = self._values()
-        return "FieldSpec(kind={!r}, n={!r}, amplitude={!r}, mean_occupation={!r})".format(*values)
-
-    def __reduce__(self):
-        return FieldSpec, self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._set(kind, n, amplitude, mean_occupation)
 
     # -- constructors --------------------------------------------------------
 
@@ -102,19 +76,6 @@ class FieldSpec:
         else:
             out["mean_n"] = self.mean_occupation
         return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FieldSpec":
-        kind = obj.get("kind")
-        if kind == "fock":
-            return cls.fock(int(obj["n"]))
-        if kind == "coherent":
-            return cls.coherent(
-                complex(float(obj.get("amplitude_re", 0.0)), float(obj.get("amplitude_im", 0.0)))
-            )
-        if kind == "thermal":
-            return cls.thermal(float(obj["mean_n"]))
-        raise ValueError(f"field config needs kind in {FIELD_KINDS}, got {kind!r}")
 
     # -- realizations ---------------------------------------------------------
 

@@ -6,19 +6,55 @@ Everything works in hbar = 1 units with angular frequencies in rad/s, so
     H = omega_a * J_z + omega_c * a'a + g * (a' J- + a J+)
 
 conserves the total excitation number; `subrad.dynamics` builds it one
-excitation block at a time.
+excitation block at a time.  `FrozenRecord` is the base of subrad's
+`__slots__` value types.
 """
 
 from __future__ import annotations
 
 
-class SystemParams:
+class FrozenRecord:
+    """Base of subrad's value types, whose fields are the subclass's __slots__.
+
+    `__init__` fills the fields with `_set`, in slot order; every other
+    assignment and every deletion is refused.  Records compare and hash by the tuple of their
+    field values and print as Name(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SystemParams(FrozenRecord):
     """Atom count, frequencies and coupling, with the derived slow scale.
 
     omega_a may be zero: that is the atomic rotating frame, in which only
     the detuning delta = omega_c - omega_a enters the block dynamics.
-    Instances are frozen, and compare and hash by value: they key the
-    per-process memo of `protocol.component_outcome`.
+    Instances key the per-process memo of `protocol.component_outcome`.
     """
 
     __slots__ = (
@@ -35,32 +71,7 @@ class SystemParams:
             raise ValueError(f"coupling must be positive, got {g}")
         if omega_c == omega_a:
             raise ValueError("detuning vanishes (omega_c == omega_a)")
-        for name, value in zip(self.__slots__, (n_atoms, omega_a, omega_c, g)):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return (self.n_atoms, self.omega_a, self.omega_c, self.g)
-
-    def __eq__(self, other):
-        if type(other) is not SystemParams:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        values = self._values()
-        return "SystemParams(n_atoms={!r}, omega_a={!r}, omega_c={!r}, g={!r})".format(*values)
-
-    def __reduce__(self):
-        return SystemParams, self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._set(n_atoms, omega_a, omega_c, g)
 
     @property
     def delta(self) -> float:

@@ -32,7 +32,7 @@ from .dynamics import (  # noqa: F401
     readouts,
 )
 from .fields import FieldSpec, TruncationError
-from .model import SystemParams
+from .model import FrozenRecord, SystemParams
 from .perturb import closed_form_corrections, slow_model_error, validity_grade, validity_parameter
 
 TRUNCATION_WEIGHT_LIMIT = 1e-8
@@ -88,11 +88,6 @@ def phase_gate(block: Block, psi: np.ndarray, phi: float) -> np.ndarray:
     return psi + (rotation - 1.0) * u * ((same_rung * u) @ psi)
 
 
-def fidelity(block: Block, amps: np.ndarray) -> np.ndarray:
-    """Weight on the dark target |D>, rung 1 of the ladder j = N/2 - 1."""
-    return np.abs(block.rung_one(amps)[1]) ** 2
-
-
 # ---------------------------------------------------------------------------
 # Full runs
 # ---------------------------------------------------------------------------
@@ -109,11 +104,11 @@ class ProtocolOptions(NamedTuple):
     seed: int | None = None  # echoed into reports; runs are deterministic
 
 
-class ProtocolReport:
+class ProtocolReport(FrozenRecord):
     """Timings, fidelities, dark-subspace weights and diagnostics for one run.
 
-    The slots are the keys of report.json, in its order.  A report compares
-    by value and refuses, at construction, metrics out of order.
+    The slots are the keys of report.json, in its order.  A report refuses,
+    at construction, metrics out of order; it holds dicts, so it has no hash.
     """
 
     __slots__ = (
@@ -165,25 +160,12 @@ class ProtocolReport:
                 "metric ordering violated: expected 0 <= fidelity <= dfs <= 1, got "
                 f"fidelity={fidelity_subradiant}, dfs={dfs_weight}"
             )
-        values = locals()
-        for name in self.__slots__:
-            setattr(self, name, values[name])
         if meta is None:
-            self.meta = {}
+            meta = {}
+        values = locals()
+        self._set(*(values[name] for name in self.__slots__))
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not ProtocolReport:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"ProtocolReport({fields})"
+    __hash__ = None
 
     def to_dict(self) -> dict:
         """The report as a new dict, nested dicts and lists copied."""
@@ -277,13 +259,9 @@ def component_outcome(
     pt_error = None
     if c:
         pt_error = slow_model_error(block, initial, np.linspace(0.0, t_m, pt_times))
-    return (
-        float(fidelity(block, final)),
-        float(values["p_subradiant"]),
-        float(values["jpjm"]),
-        pt_error,
-        len(block.rungs),
-    )
+    # the only dark state on the two ladders is the target |D>: fidelity is the dark weight
+    dark = float(values["p_subradiant"])
+    return dark, dark, float(values["jpjm"]), pt_error, len(block.rungs)
 
 
 def trajectory(

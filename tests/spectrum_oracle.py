@@ -4,8 +4,9 @@
 connects to as g -> 0.  This module keeps the older rule, one row at a time:
 each eigenvalue, in ascending order, takes the nearest slow-model level that
 has room left (first minimum on a tie), and every row is built and written on
-its own.  The two rules give the same bytes wherever the slow-model levels
-are far enough apart; `tests/test_cli.py` names where they differ.
+its own.  The level table is the one `cmd_spectrum` uses, `delta_e1` of a
+block above the cutoff included.  The two rules give the same bytes wherever
+the slow-model levels are far enough apart.
 """
 
 import math
@@ -39,6 +40,8 @@ def spectrum_rows(config: RunConfig) -> list[dict]:
     e0 = params.omega_a * (1 - nn / 2.0) + params.omega_c * (sector_n - 1)
     corrections = closed_form_corrections(params, sector_n)
     de1 = 0.0 if h0_only else corrections.delta_e1
+    if sector_n > n_max and not h0_only:  # rung 0 is clipped, and its second-order term with it
+        de1 += nn * sector_n * params.g**2 / params.delta
     dei = 0.0 if h0_only or corrections.delta_ei is None else corrections.delta_ei
     levels = [(e0 + de1, "delta_e1", 1), (e0 + dei, "delta_ei", nn - 1)]
     levels += [(val, f"free_k{e}", math.comb(nn, e)) for e, val in free.items() if e != 1]

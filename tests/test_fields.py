@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subrad.cli import RunConfig
 from subrad.fields import WEIGHT_FLOOR, FieldSpec, TruncationError
 
 
@@ -120,14 +121,16 @@ def test_components_refuse_a_cutoff_below_the_field():
 
 
 def test_json_round_trips():
+    base = {"n_atoms": 3, "g_over_2pi_hz": 1e4, "delta_over_g": 50.0}
     for f in (FieldSpec.fock(2), FieldSpec.coherent(0.3 - 0.4j), FieldSpec.thermal(0.7)):
-        again = FieldSpec.from_json(f.describe())
+        again = RunConfig.from_json({**base, "field": f.describe()}).field
         assert again == f
 
 
 def test_from_json_rejects_unknown_kind():
+    base = {"n_atoms": 3, "g_over_2pi_hz": 1e4, "delta_over_g": 50.0}
     with pytest.raises(ValueError, match="kind"):
-        FieldSpec.from_json({"kind": "squeezed", "r": 1.0})
+        RunConfig.from_json({**base, "field": {"kind": "squeezed"}})
 
 
 def test_required_n_max_rule():

@@ -419,7 +419,7 @@ def _disordered_report():
     return ProtocolReport(**fields)
 
 
-# make an instance; a field that refuses assignment (None: the type is mutable);
+# make an instance; a field that refuses assignment and deletion;
 # whether equal instances compare and hash equal; [(refused constructor, message)]
 VALUE_TYPES = [
     pytest.param(
@@ -454,7 +454,7 @@ VALUE_TYPES = [
     pytest.param(lambda: ProtocolOptions(n_max=9), "n_max", False, [], id="ProtocolOptions"),
     pytest.param(
         _thermal_report,
-        None,
+        "meta",
         False,
         [
             (
@@ -478,8 +478,12 @@ VALUE_TYPES = [
 @pytest.mark.parametrize("make, frozen_field, by_value, refusals", VALUE_TYPES)
 def test_value_type_contract(make, frozen_field, by_value, refusals):
     value = make()
-    if frozen_field is None:
-        # the mutable report hands out a copy, nested dicts and lists included
+    with pytest.raises(AttributeError):
+        setattr(value, frozen_field, getattr(value, frozen_field))
+    with pytest.raises(AttributeError):
+        delattr(value, frozen_field)
+    if isinstance(value, ProtocolReport):
+        # the report holds dicts, so it hands out a copy, nested dicts and lists included
         before = value.to_dict()
         copied = value.to_dict()
         copied["field"]["kind"] = "fock"
@@ -488,17 +492,26 @@ def test_value_type_contract(make, frozen_field, by_value, refusals):
         copied["meta"]["mixture_components"].append({})
         copied["meta"]["seed"] = 0
         assert value.to_dict() == before
-    else:
-        with pytest.raises(AttributeError):
-            setattr(value, frozen_field, getattr(value, frozen_field))
-        with pytest.raises(AttributeError):
-            delattr(value, frozen_field)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
     if by_value:
         again = make()
         assert again is not value and again == value and hash(again) == hash(value)
     for build, message in refusals:
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
+
+
+def test_value_types_print_their_fields():
+    assert repr(SystemParams(3, 0.0, 30.0, 1.0)) == (
+        "SystemParams(n_atoms=3, omega_a=0.0, omega_c=30.0, g=1.0)"
+    )
+    assert repr(FieldSpec.coherent(0.5 + 0.25j)) == (
+        "FieldSpec(kind='coherent', n=0, amplitude=(0.5+0.25j), mean_occupation=0.0)"
+    )
+    assert repr(FieldSpec.thermal(0.3)) == (
+        "FieldSpec(kind='thermal', n=0, amplitude=0j, mean_occupation=0.3)"
+    )
 
 
 # -- per-process reuse of component outcomes -------------------------------------
