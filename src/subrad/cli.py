@@ -123,7 +123,6 @@ class RunConfig(NamedTuple):
     field: FieldSpec
     options: ProtocolOptions
     allow_invalid: bool
-    seed: int | None
     points: int  # trajectory samples for protocol and evolve
     t_final_seconds: float | None  # evolve span; None = one slow period
     spectrum_block: int
@@ -201,7 +200,6 @@ class RunConfig(NamedTuple):
             field=field,
             options=options,
             allow_invalid=_boolean(obj.get("allow_invalid", False), "allow_invalid"),
-            seed=seed,
             points=points,
             t_final_seconds=t_final if t_final is None else _real(t_final, "evolve.t_final_seconds"),
             spectrum_block=block,
@@ -247,13 +245,12 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
         return 2
 
     report = run(params, config.field, config.options)
+    times = default_trajectory_times(params, config.points)
+    rows = trajectory(params, config.field, config.options, times)
     out_dir.mkdir(parents=True, exist_ok=True)
     serialize.dump_json(
         {"config": config.raw, "report": report.to_dict()}, out_dir / "report.json"
     )
-
-    times = default_trajectory_times(params, config.points)
-    rows = trajectory(params, config.field, config.options, times)
     serialize.write_csv(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, rows)
     print(
         f"t_m = {report.t_m_microseconds:.6g} us, "
@@ -291,65 +288,52 @@ SWEEP_COLUMNS = (
 )
 
 
-def _point_config(raw: dict, axis: str, value: float) -> dict:
-    cfg = json.loads(json.dumps(raw))  # deep copy
-    cfg.pop("sweep", None)
+def _check_point(config: RunConfig, axis, value: float) -> float:
+    """`value`, refused if no point of this config can take it."""
     if axis == "N":
         if value != int(value):
             raise ConfigError(f"atom count must be an integer, got {value}")
-        cfg["n_atoms"] = int(value)
     elif axis == "delta_ratio":
-        if cfg.get("delta_over_g") is None:
+        if config.delta_over_g is None:
             raise ConfigError("delta_ratio sweeps need a delta_over_g style config")
-        cfg["delta_over_g"] = value
     elif axis == "mean_n":
-        field = dict(cfg.get("field", {"kind": "fock", "n": 0}))
-        if field["kind"] == "fock":
-            if value != int(value):
-                raise ConfigError(f"Fock sweep values must be integers, got {value}")
-            field["n"] = int(value)
-        elif field["kind"] == "coherent":
-            # a negative mean has no amplitude; _sweep_point refuses it in the point's row
-            field["amplitude_re"] = math.sqrt(max(value, 0.0))
-            field["amplitude_im"] = 0.0
-        else:
-            field["mean_n"] = value
-        cfg["field"] = field
+        if config.field.kind == "fock" and value != int(value):
+            raise ConfigError(f"Fock sweep values must be integers, got {value}")
     else:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    return cfg
+    return value
 
 
-def _sweep_point(idx: int, axis: str, value: float, cfg: dict) -> dict:
-    row = {
-        "point": idx,
-        "axis": axis,
-        "value": value,
-        "error": "",
-    }
+def _at(config: RunConfig, axis: str, value: float) -> RunConfig:
+    """The config of the sweep point axis = value, which _check_point has passed."""
+    if axis == "N":
+        return config._replace(n_atoms=int(value))
+    if axis == "delta_ratio":
+        return config._replace(delta_over_g=value)
+    if config.field.kind == "fock":
+        field = FieldSpec.fock(int(value))
+    elif config.field.kind == "thermal":
+        field = FieldSpec.thermal(value)
+    elif value < 0:  # a negative mean has no amplitude
+        raise ValueError(f"a coherent field's mean_n must be >= 0 (got {value})")
+    else:
+        field = FieldSpec.coherent(complex(math.sqrt(value), 0.0))
+    return config._replace(field=field)
+
+
+def _sweep_point(idx: int, axis: str, value: float, config: RunConfig) -> dict:
+    row = {"point": idx, "axis": axis, "value": value, "error": ""}
     try:
-        if axis == "mean_n" and value < 0 and cfg["field"]["kind"] == "coherent":
-            raise ValueError(f"a coherent field's mean_n must be >= 0 (got {value})")
-        config = RunConfig.from_json(cfg)
-        params = config.params()
-        report = run(params, config.field, config.options)
+        point = _at(config, axis, value)
+        params = point.params()
+        report = run(params, point.field, point.options).to_dict()
+        ratio = params.delta / params.g if point.delta_over_g is None else point.delta_over_g
         row.update(
-            n_atoms=params.n_atoms,
-            delta_over_g=(
-                params.delta / params.g if config.delta_over_g is None else config.delta_over_g
-            ),
-            g_over_2pi_hz=config.g_over_2pi_hz,
-            field_kind=config.field.kind,
-            field_mean_n=config.field.mean_n,
-            alpha_per_s=report.alpha_per_s,
-            t_m_seconds=report.t_m_seconds,
-            phi_radians=report.phi_radians,
-            fidelity_subradiant=report.fidelity_subradiant,
-            dfs_weight=report.dfs_weight,
-            pt_coefficient_error=report.pt_coefficient_error,
-            emission_expectation=report.emission_expectation,
-            validity=report.validity,
-            validity_grade=report.validity_grade,
+            {key: report[key] for key in SWEEP_COLUMNS if key in report},
+            delta_over_g=ratio,
+            g_over_2pi_hz=point.g_over_2pi_hz,
+            field_kind=point.field.kind,
+            field_mean_n=point.field.mean_n,
         )
     except Exception as exc:  # per-point failures stay in-row
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -363,11 +347,9 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
     axis, values = sweep["axis"], sweep["values"]
     if not isinstance(values, list):
         raise ConfigError(f"sweep.values must be an array, got {values!r}")
-    points = []  # every point's config is checked before the first point runs
-    for v in values:
-        v = _real(v, "sweep.values")
-        points.append((v, _point_config(config.raw, axis, v)))
-    rows = [_sweep_point(i, axis, v, cfg) for i, (v, cfg) in enumerate(points)]
+    # every point is checked before the first point runs
+    points = [_check_point(config, axis, _real(v, "sweep.values")) for v in values]
+    rows = [_sweep_point(i, axis, v, config) for i, v in enumerate(points)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     serialize.write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
@@ -551,10 +533,10 @@ def main(argv=None) -> int:
             return 1 if exc.code else 0
     try:
         config = _load_config(args["config"])
-        if args["seed"] is not None:
-            raw = dict(config.raw)
-            raw["seed"] = args["seed"]
-            config = RunConfig.from_json(raw)
+        seed = args["seed"]
+        if seed is not None:
+            options = config.options._replace(seed=seed)
+            config = config._replace(options=options, raw={**config.raw, "seed": seed})
         out_dir = Path(args["out"])
         command = args["command"]
         # Overflow and the like are not warned about: every command refuses a

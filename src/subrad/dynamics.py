@@ -40,6 +40,7 @@ import numpy as np
 from .model import FrozenRecord, SystemParams
 
 NORM_TOL = 1e-10
+PHASE_TOL = 1e-6  # radians of rounding in the phases w t that a grid may carry
 RECONSTRUCTION_TOL = 1e-10
 TIME_CHUNK = 64  # times per product; a chunk holds this many copies of the state
 
@@ -174,11 +175,13 @@ def evolve_grid(block: Block, psi: np.ndarray, times) -> Iterator[np.ndarray]:
     """exp(-iHt) psi at every time of a grid: V (exp(-i w t') * (V' psi)) exp(-i offset t).
 
     Yields arrays of shape (chunk length, dim), at most TIME_CHUNK times per
-    product.  Every evolved state is checked to stay normalized.
+    product.  Every evolved state must stay normalized, and the rounding of
+    its phases w t, about eps |w| |t|, must stay within PHASE_TOL.
     """
     v = block.eigenvectors
     coeffs = v.T @ psi
     times = np.asarray(times, dtype=float)
+    scale = np.finfo(float).eps * np.max(np.abs(block.eigenvalues), initial=0.0)
     for start in range(0, len(times), TIME_CHUNK):
         t = times[start : start + TIME_CHUNK, None]
         amps = (np.exp(-1j * block.eigenvalues * t) * coeffs) @ v.T
@@ -187,6 +190,10 @@ def evolve_grid(block: Block, psi: np.ndarray, times) -> Iterator[np.ndarray]:
         off = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN norms fail
         if np.any(off):
             raise ValueError(f"state norm {norms[off][0]} deviates from 1 beyond {NORM_TOL}")
+        t_max = np.max(np.abs(t))
+        if scale * t_max > PHASE_TOL:
+            msg = f"phase rounding {scale * t_max:.3e} rad at t = {t_max:.3e} s exceeds {PHASE_TOL}"
+            raise ValueError(msg)
         yield amps
 
 

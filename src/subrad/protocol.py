@@ -241,14 +241,15 @@ def _start(params: SystemParams, n: int, c: int, n_max: int) -> tuple[Block, np.
 @functools.lru_cache(maxsize=4096)
 def component_outcome(
     params: SystemParams, n: int, c: int, n_max: int, t_m: float, phi: float, pt_times: int
-) -> tuple[float, float, float, float | None, int]:
-    """Fidelity, dark weight, <J+J->, slow-model error and block size of a component.
+) -> tuple[float, float, float | None, int]:
+    """Fidelity, <J+J->, slow-model error and block size of a component.
 
     The component starts as `_start` sets it up, evolves to t_m and takes the
     phase gate; the slow-model error (None without the control excitation)
-    spans pt_times points of [0, t_m].  Memoized per process: callers pass
-    min(n_max, n + c) as the cutoff, since block M is the same for every
-    n_max >= M: none of its rungs holds more than M photons.
+    spans pt_times points of [0, t_m].  The fidelity is also the dark weight:
+    the only dark state on the two ladders is the target |D>.  Memoized per
+    process: callers pass min(n_max, n + c) as the cutoff, since block M is
+    the same for every n_max >= M: none of its rungs holds more than M photons.
     """
     block, initial = _start(params, n, c, n_max)
     # one-time grid rather than evolve: perfbench's tracer sizes every
@@ -259,9 +260,7 @@ def component_outcome(
     pt_error = None
     if c:
         pt_error = slow_model_error(block, initial, np.linspace(0.0, t_m, pt_times))
-    # the only dark state on the two ladders is the target |D>: fidelity is the dark weight
-    dark = float(values["p_subradiant"])
-    return dark, dark, float(values["jpjm"]), pt_error, len(block.rungs)
+    return float(values["p_subradiant"]), float(values["jpjm"]), pt_error, len(block.rungs)
 
 
 def trajectory(
@@ -310,15 +309,14 @@ def run(
 
     n_max, components = fock_components(params, field, options)
     c = 1 if options.excite_control else 0
-    fid_sum = dark = emission = pt_sum = pt_weight = 0.0
+    fid_sum = emission = pt_sum = pt_weight = 0.0
     max_block_dim = 0
     mixture = []
     for w, n in components:
-        fid, dark_n, emission_n, pt_n, dim = component_outcome(
+        fid, emission_n, pt_n, dim = component_outcome(
             params, n, c, min(n_max, n + c), plan_.t_m, phi, options.pt_times
         )
         fid_sum += w * fid
-        dark += w * dark_n
         emission += w * emission_n
         if options.excite_control:
             pt_sum += w * pt_n
@@ -352,7 +350,7 @@ def run(
         tm_branch=options.tm_branch,
         field=field.describe(),
         fidelity_subradiant=fid_sum,
-        dfs_weight=dark,
+        dfs_weight=fid_sum,  # the target is the only dark state the protocol reaches
         emission_expectation=emission,
         validity=validity,
         validity_grade=validity_grade(validity),

@@ -108,6 +108,8 @@ def test_run_matches_product_engine(case):
     params, field, options, control_index = case
     rep = run(params, field, options)
     fid, dark, jpjm, pt = product_run(params, field, options, control_index)
+    # permutation symmetry keeps the other N-2 dark states empty on the 2^N basis too
+    assert dark == pytest.approx(fid, abs=1e-12)
     floor = rounding_floor(params, field, rep.t_m_seconds)
     assert rep.fidelity_subradiant == pytest.approx(fid, abs=1e-12 + floor)
     assert rep.dfs_weight == pytest.approx(dark, abs=1e-12 + floor)
