@@ -77,25 +77,12 @@ class Block(FrozenRecord):
 
     __slots__ = (
         "params",
-        "m_total",
         "rungs",  # excited atoms e of each amplitude
         "ladder",  # N/2 - j of each amplitude: 0 symmetric, 1 the other
         "offset",  # omega_c M - omega_a N/2, left out of the eigenvalues
         "eigenvalues",
         "eigenvectors",  # real orthonormal columns, block diagonal by ladder
     )
-
-    def __init__(
-        self,
-        params: SystemParams,
-        m_total: int,
-        rungs: np.ndarray,
-        ladder: np.ndarray,
-        offset: float,
-        eigenvalues: np.ndarray,
-        eigenvectors: np.ndarray,
-    ):
-        self._set(params, m_total, rungs, ladder, offset, eigenvalues, eigenvectors)
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -129,13 +116,11 @@ def _ladder(params: SystemParams, lo: int, m_total: int, n_max: int, g: float, d
 
 
 def _eigh(h: np.ndarray, m_total: int) -> tuple[np.ndarray, np.ndarray]:
-    """eigh with each eigenvector's largest-magnitude entry made positive."""
+    """eigh of ladder h in block M, refused unless V diag(w) V' gives h back."""
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigendecomposition failed on block {m_total}") from exc
-    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    v = v * np.where(top < 0, -1.0, 1.0)
     resid = np.linalg.norm((v * w) @ v.T - h)
     scale = np.linalg.norm(h)
     if not resid <= RECONSTRUCTION_TOL * max(scale, 1.0) < math.inf:  # NaN and overflow fail
@@ -162,7 +147,6 @@ def compile_propagator(params: SystemParams, m_total: int, n_max: int) -> Block:
         i += len(part)
     return Block(
         params=params,
-        m_total=m_total,
         rungs=rungs,
         ladder=np.repeat([0, 1], [e.size for e, _ in ladders]),
         offset=params.omega_c * m_total - params.omega_a * params.n_atoms / 2.0,

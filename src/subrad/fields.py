@@ -40,7 +40,7 @@ class FieldSpec(FrozenRecord):
             raise ValueError(f"Fock level must be >= 0, got {n}")
         if kind == "thermal" and mean_occupation < 0:
             raise ValueError(f"mean occupation must be >= 0, got {mean_occupation}")
-        self._set(kind, n, amplitude, mean_occupation)
+        super().__init__(kind=kind, n=n, amplitude=amplitude, mean_occupation=mean_occupation)
 
     # -- constructors --------------------------------------------------------
 

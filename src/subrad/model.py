@@ -16,15 +16,18 @@ from __future__ import annotations
 class FrozenRecord:
     """Base of subrad's value types, whose fields are the subclass's __slots__.
 
-    `__init__` fills the fields with `_set`, in slot order; every other
-    assignment and every deletion is refused.  Records compare and hash by the tuple of their
+    `__init__` fills every field by name; every other assignment and every
+    deletion is refused.  Records compare and hash by the tuple of their
     field values and print as Name(field=value, ...).
     """
 
     __slots__ = ()
 
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, **fields):
+        if fields.keys() != set(self.__slots__):
+            expected = ", ".join(self.__slots__)
+            raise TypeError(f"{type(self).__name__} takes exactly the fields {expected}")
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
@@ -71,7 +74,7 @@ class SystemParams(FrozenRecord):
             raise ValueError(f"coupling must be positive, got {g}")
         if omega_c == omega_a:
             raise ValueError("detuning vanishes (omega_c == omega_a)")
-        self._set(n_atoms, omega_a, omega_c, g)
+        super().__init__(n_atoms=n_atoms, omega_a=omega_a, omega_c=omega_c, g=g)
 
     @property
     def delta(self) -> float:

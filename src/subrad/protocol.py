@@ -133,37 +133,13 @@ class ProtocolReport(FrozenRecord):
         "meta",
     )
 
-    def __init__(
-        self,
-        n_atoms: int,
-        g_rad_s: float,
-        g_over_2pi_hz: float,
-        delta_rad_s: float,
-        delta_over_2pi_hz: float,
-        alpha_per_s: float,
-        t_m_seconds: float,
-        t_m_microseconds: float,
-        phi_radians: float,
-        tm_branch: int,
-        field: dict,
-        fidelity_subradiant: float,
-        dfs_weight: float,
-        emission_expectation: float,
-        validity: float,
-        validity_grade: str,
-        pt_coefficient_error: float | None,
-        perturbation: dict,
-        meta: dict | None = None,  # None = a new empty dict
-    ):
-        if not -1e-10 <= fidelity_subradiant <= dfs_weight + 1e-10 <= 1.0 + 2e-10:
+    def __init__(self, *, meta: dict | None = None, **fields):
+        super().__init__(meta={} if meta is None else meta, **fields)
+        if not -1e-10 <= self.fidelity_subradiant <= self.dfs_weight + 1e-10 <= 1.0 + 2e-10:
             raise ValueError(
                 "metric ordering violated: expected 0 <= fidelity <= dfs <= 1, got "
-                f"fidelity={fidelity_subradiant}, dfs={dfs_weight}"
+                f"fidelity={self.fidelity_subradiant}, dfs={self.dfs_weight}"
             )
-        if meta is None:
-            meta = {}
-        values = locals()
-        self._set(*(values[name] for name in self.__slots__))
 
     __hash__ = None
 

@@ -150,6 +150,71 @@ def test_malformed_configs_exit_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+OMEGA_PAIR = {"delta_over_g": None, "omega_a_over_2pi_hz": 5e9, "omega_c_over_2pi_hz": 5.1e9}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        # a sweep is refused before its first point runs, so no sweep.csv is written
+        (
+            "sweep",
+            {"sweep": {"axis": "N", "values": [3, 2.5]}},
+            "atom count must be an integer, got 2.5",
+        ),
+        (
+            "sweep",
+            {"sweep": {"axis": "mean_n", "values": [0, 1.5]}},
+            "Fock sweep values must be integers, got 1.5",
+        ),
+        (
+            "sweep",
+            {**OMEGA_PAIR, "sweep": {"axis": "delta_ratio", "values": [30]}},
+            "delta_ratio sweeps need a delta_over_g style config",
+        ),
+        (
+            "sweep",
+            {"sweep": {"axis": "bogus", "values": [3]}},
+            "sweep axis must be one of ('N', 'delta_ratio', 'mean_n'), got 'bogus'",
+        ),
+        ("protocol", {"options": [1]}, "options must be a JSON object, got [1]"),
+        ("protocol", {"g_over_2pi_hz": -1}, "g_over_2pi_hz must be positive, got -1.0"),
+        (
+            "protocol",
+            {"delta_over_g": None, "omega_a_over_2pi_hz": 5e9},
+            "the omega pair needs both omega_a and omega_c",
+        ),
+        (
+            "evolve",
+            {**OMEGA_PAIR, "omega_a_over_2pi_hz": -5e9},
+            "omega_*_over_2pi_hz must be positive",
+        ),
+    ],
+)
+def test_refused_configs_print_the_usage_then_the_message(
+    tmp_path, capsys, command, overrides, message
+):
+    cfg = write_config(tmp_path, n_atoms=3, delta_over_g=100.0)
+    raw = {**json.loads(cfg.read_text()), **overrides}
+    cfg.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.endswith(f"\nerror: {message}\n"), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
+@pytest.mark.parametrize("command", ["protocol", "sweep", "spectrum", "evolve"])
+def test_unreadable_config_exit_1(tmp_path, capsys, command, text):
+    cfg = tmp_path / "config.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"\nerror: cannot read config {cfg}: " in err, err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("pt_times", [0, -3])
 def test_pt_times_below_one_exit_1(tmp_path, capsys, pt_times):
     cfg = write_config(tmp_path, n_atoms=4, delta_over_g=100.0, options={"pt_times": pt_times})
@@ -385,6 +450,22 @@ def test_sweep_negative_mean_recorded_in_row(tmp_path, field, value, message):
     assert rows[0]["error"].startswith("ValueError: ") and message in rows[0]["error"]
     assert rows[0]["fidelity_subradiant"] == ""
     assert rows[1]["error"] == "" and float(rows[1]["fidelity_subradiant"]) > 0.99
+
+
+def test_without_the_control_excitation_the_slow_model_error_is_null(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        n_atoms=3,
+        delta_over_g=100.0,
+        options={"excite_control": False},
+        sweep={"axis": "delta_ratio", "values": [100.0]},
+    )
+    assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+    text = (tmp_path / "p" / "report.json").read_text()
+    assert '"pt_coefficient_error": null,' in text and '"pt_vs_exact_error": null' in text
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    (row,) = read_csv(tmp_path / "s" / "sweep.csv")
+    assert row["error"] == "" and row["pt_coefficient_error"] == ""
 
 
 def test_write_csv_quotes_cells_with_commas_and_quotes(tmp_path):

@@ -24,7 +24,7 @@ import subrad.protocol
 from subrad import dynamics
 from subrad.cli import RunConfig
 from subrad.fields import FieldSpec, TruncationError
-from subrad.model import SystemParams
+from subrad.model import FrozenRecord, SystemParams
 from subrad.perturb import closed_form_corrections
 from subrad.protocol import (
     NoSubradiantSectorError,
@@ -512,6 +512,22 @@ def test_value_types_print_their_fields():
     assert repr(FieldSpec.thermal(0.3)) == (
         "FieldSpec(kind='thermal', n=0, amplitude=0j, mean_occupation=0.3)"
     )
+
+
+class _Pair(FrozenRecord):
+    __slots__ = ("left", "right")
+
+
+def test_frozen_record_fills_its_fields_by_name():
+    pair = _Pair(right=2, left=1)
+    assert (pair.left, pair.right) == (1, 2) and pair == _Pair(left=1, right=2)
+    for fields in ({}, {"left": 1}, {"left": 1, "right": 2, "middle": 3}, {"left": 1, "rite": 2}):
+        with pytest.raises(TypeError, match="_Pair takes exactly the fields left, right"):
+            _Pair(**fields)
+    report = _thermal_report().to_dict()
+    del report["validity"]
+    with pytest.raises(TypeError, match="ProtocolReport takes exactly the fields n_atoms, "):
+        ProtocolReport(**report)
 
 
 # -- per-process reuse of component outcomes -------------------------------------

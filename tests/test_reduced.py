@@ -13,7 +13,7 @@ from product.hilbert import PureState, atom_code, build_basis, subradiant_target
 from product.model import build_h0, build_hamiltonian, collective_operator
 from product.perturb import exact_vs_effective_error
 from product.protocol import dfs_weight, phase_gate
-from subrad import dynamics
+from subrad import dynamics, perturb, protocol
 from subrad.dynamics import default_trajectory_times
 from subrad.fields import FieldSpec
 from subrad.model import SystemParams
@@ -281,6 +281,40 @@ def test_evolve_composes_and_inverts():
     assert np.max(np.abs(once - twice)) < 1e-9
     back = dynamics.evolve(block, dynamics.evolve(block, psi, t1), -t1)
     assert np.max(np.abs(back - psi)) < 1e-9
+
+
+@given(
+    n_atoms=st.integers(2, 12),
+    ratio=st.floats(10.0, 300.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    n=st.integers(0, 6),
+    extra=st.integers(0, 3),
+    phi=st.floats(-math.pi, math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_outputs_do_not_depend_on_the_signs_of_the_eigenvectors(
+    n_atoms, ratio, sign, n, extra, phi, seed
+):
+    # V enters only as V f(w) V', and negating a column negates its products exactly
+    params = SystemParams.from_detuning_ratio(n_atoms, G, sign * ratio)
+    block, psi = _start(params, n, 1, n + 1 + extra)
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=block.eigenvalues.size)
+    fields = {name: getattr(block, name) for name in block.__slots__}
+    flipped = dynamics.Block(**{**fields, "eigenvectors": block.eigenvectors * signs})
+    times = np.linspace(0.0, 2.0 * plan(params).t_m, int(rng.integers(1, 150)))
+    for amps, again in zip(
+        dynamics.evolve_grid(block, psi, times), dynamics.evolve_grid(flipped, psi, times)
+    ):
+        assert np.array_equal(amps, again)
+        ref, got = dynamics.readouts(block, amps), dynamics.readouts(flipped, again)
+        assert all(np.array_equal(ref[key], got[key]) for key in ref)
+        for a, b in zip(amps, again):
+            gated = protocol.phase_gate(block, a, phi), protocol.phase_gate(flipped, b, phi)
+            assert np.array_equal(*gated)
+    errors = [perturb.slow_model_error(b, psi, times) for b in (block, flipped)]
+    assert errors[0] == errors[1]
 
 
 def test_evolve_grid_refuses_a_state_that_is_not_a_number():
