@@ -246,12 +246,12 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
 
     report = run(params, config.field, config.options)
     times = default_trajectory_times(params, config.points)
-    rows = trajectory(params, config.field, config.options, times)
+    table = trajectory(params, config.field, config.options, times)
     out_dir.mkdir(parents=True, exist_ok=True)
     serialize.dump_json(
         {"config": config.raw, "report": report.to_dict()}, out_dir / "report.json"
     )
-    serialize.write_csv(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, rows)
+    serialize.write_table(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, table)
     print(
         f"t_m = {report.t_m_microseconds:.6g} us, "
         f"fidelity = {report.fidelity_subradiant:.6f}, "
@@ -449,10 +449,10 @@ def cmd_evolve(config: RunConfig, out_dir: Path) -> int:
     else:
         times = np.linspace(0.0, config.t_final_seconds, config.points)
 
-    rows = trajectory(params, config.field, config.options, times)
+    table = trajectory(params, config.field, config.options, times)
     out_dir.mkdir(parents=True, exist_ok=True)
-    serialize.write_csv(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, rows)
-    print(f"wrote {len(rows)} trajectory samples")
+    serialize.write_table(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, table)
+    print(f"wrote {len(table)} trajectory samples")
     return 0
 
 

@@ -22,12 +22,13 @@ Block M is diagonalized without its constant omega_c M - omega_a N/2, which
 multiplies exp(-iHt) only as a phase; this keeps the eigenvalues on the
 scale of delta, so rounding of w t spoils no relative phase even in the
 laboratory frame, where omega_a exceeds delta by orders of magnitude.  A
-whole time grid is evaluated as V (exp(-i w t') * (V' psi)), a fixed number
-of times per product.  The spectrum of a whole product block is the union
-of the ladders of every total spin j, each repeated dicke_multiplicity(N, j)
-times.  A ladder is an irreducible tridiagonal matrix, so its eigenvalues
-never cross as g grows from 0: the r-th smallest one belongs to the rung of
-the r-th smallest diagonal entry, which names its slow-model level.
+whole time grid is evaluated as V (exp(-i w t') * (V' psi)), as many times
+per product as AMPLITUDE_BUDGET amplitudes hold.  The spectrum of a whole
+product block is the union of the ladders of every total spin j, each
+repeated dicke_multiplicity(N, j) times.  A ladder is an irreducible
+tridiagonal matrix, so its eigenvalues never cross as g grows from 0: the
+r-th smallest one belongs to the rung of the r-th smallest diagonal entry,
+which names its slow-model level.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .model import FrozenRecord, SystemParams
 NORM_TOL = 1e-10
 PHASE_TOL = 1e-6  # radians of rounding in the phases w t that a grid may carry
 RECONSTRUCTION_TOL = 1e-10
-TIME_CHUNK = 64  # times per product; a chunk holds this many copies of the state
+AMPLITUDE_BUDGET = 1 << 16  # amplitudes per product, 1 MiB of complex128
 
 TRAJECTORY_COLUMNS = (
     "t_seconds",
@@ -158,26 +159,29 @@ def compile_propagator(params: SystemParams, m_total: int, n_max: int) -> Block:
 def evolve_grid(block: Block, psi: np.ndarray, times) -> Iterator[np.ndarray]:
     """exp(-iHt) psi at every time of a grid: V (exp(-i w t') * (V' psi)) exp(-i offset t).
 
-    Yields arrays of shape (chunk length, dim), at most TIME_CHUNK times per
-    product.  Every evolved state must stay normalized, and the rounding of
-    its phases w t, about eps |w| |t|, must stay within PHASE_TOL.
+    Yields arrays of shape (chunk length, dim) of at most AMPLITUDE_BUDGET
+    amplitudes, or of one time where a state alone exceeds it.  Before the
+    first product, the grid is refused at its first time whose phase
+    rounding, about eps |w| |t|, exceeds PHASE_TOL.  Every evolved state
+    must stay normalized.
     """
     v = block.eigenvectors
     coeffs = v.T @ psi
     times = np.asarray(times, dtype=float)
-    scale = np.finfo(float).eps * np.max(np.abs(block.eigenvalues), initial=0.0)
-    for start in range(0, len(times), TIME_CHUNK):
-        t = times[start : start + TIME_CHUNK, None]
+    rounding = np.finfo(float).eps * np.max(np.abs(block.eigenvalues), initial=0.0) * np.abs(times)
+    # a time of inf leaves no state at all, which the norm check names
+    for i in np.flatnonzero((rounding > PHASE_TOL) & (rounding < math.inf))[:1]:
+        msg = f"phase rounding {rounding[i]:.3e} rad at t = {times[i]:.3e} s exceeds {PHASE_TOL}"
+        raise ValueError(msg)
+    step = max(1, AMPLITUDE_BUDGET // len(coeffs))
+    for start in range(0, len(times), step):
+        t = times[start : start + step, None]
         amps = (np.exp(-1j * block.eigenvalues * t) * coeffs) @ v.T
         amps *= np.exp(-1j * block.offset * t)
         norms = np.linalg.norm(amps, axis=-1)
         off = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN norms fail
         if np.any(off):
             raise ValueError(f"state norm {norms[off][0]} deviates from 1 beyond {NORM_TOL}")
-        t_max = np.max(np.abs(t))
-        if scale * t_max > PHASE_TOL:
-            msg = f"phase rounding {scale * t_max:.3e} rad at t = {t_max:.3e} s exceeds {PHASE_TOL}"
-            raise ValueError(msg)
         yield amps
 
 

@@ -241,12 +241,12 @@ def component_outcome(
 
 def trajectory(
     params: SystemParams, field: FieldSpec, options: ProtocolOptions, times
-) -> list[dict[str, float]]:
-    """TRAJECTORY_COLUMNS along exp(-iHt) from the initial state that `run` prepares.
+) -> np.ndarray:
+    """(T, 7) table of TRAJECTORY_COLUMNS along exp(-iHt) from the state `run` prepares.
 
-    Every column is the p_n-weighted sum over the field's Fock components,
-    which is the exact mixture average for every field kind; the components'
-    blocks are compiled one at a time.
+    One row per time; every column is the p_n-weighted sum over the field's
+    Fock components, which is the exact mixture average for every field
+    kind.  The components' blocks are compiled one at a time.
     """
     times = np.asarray(times, dtype=float)
     n_max, components = fock_components(params, field, options)
@@ -259,8 +259,7 @@ def trajectory(
             cols = readouts(block, amps)
             values.append(np.column_stack([cols[k] for k in TRAJECTORY_COLUMNS[1:]]))
         total = total + w * np.concatenate(values)
-    table = np.column_stack([times, total]).tolist()
-    return [dict(zip(TRAJECTORY_COLUMNS, row)) for row in table]
+    return np.column_stack([times, total])
 
 
 def run(

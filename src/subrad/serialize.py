@@ -13,6 +13,10 @@ import json
 import math
 from typing import Iterable
 
+import numpy as np
+
+ROW_BLOCK = 1 << 12  # rows of a float table formatted per string
+
 # a JSON string literal, escaped as RFC 8259 requires; other characters pass as they are
 _quote = json.JSONEncoder(ensure_ascii=False).encode
 
@@ -99,6 +103,19 @@ def write_csv(
             rest = _line(row, cols[1:])
             fh.write("".join(f"{i},{rest}" for i in range(start, start + count)))
             start += count
+
+
+def write_table(path, columns: Iterable[str], table: np.ndarray) -> None:
+    """Write a 2-D float table as write_csv writes its rows; NaN and inf are refused."""
+    cols = list(columns)
+    for i, j in np.argwhere(~np.isfinite(table))[:1]:
+        raise ValueError(f"table cell [{i}, {j}] is {table[i, j]}")
+    line = ",".join(["%.17g"] * len(cols)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(cols) + "\n")
+        for start in range(0, len(table), ROW_BLOCK):
+            rows = table[start : start + ROW_BLOCK]
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _line(row: dict, cols: list[str]) -> str:

@@ -2,7 +2,7 @@
 
 One eigendecomposition per excitation block turns time evolution into
 matrix products: a whole time grid is evaluated block by block as
-V (exp(-i w t') * (V' psi)), a fixed number of times per product.
+V (exp(-i w t') * (V' psi)), TIME_CHUNK times per product.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from subrad.dynamics import (
     NORM_TOL,
     RECONSTRUCTION_TOL,
-    TIME_CHUNK,
     TRAJECTORY_COLUMNS,
     EigensolverError,
 )
@@ -32,6 +31,8 @@ from .model import (
     build_hamiltonian,
     collective_operator,
 )
+
+TIME_CHUNK = 64  # times per product; a chunk holds this many copies of the state
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:

@@ -509,6 +509,51 @@ def test_write_csv_numbers_counted_rows_in_the_first_column(tmp_path):
     assert text == 'n,a,b\n0,0.5,"x,y"\n1,0.5,"x,y"\n2,,false\n'
 
 
+CELLS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.integers(-(10**6), 10**6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def float_tables(draw):
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(CELLS, min_size=ncols, max_size=ncols), max_size=30))
+    return np.array(rows, dtype=float).reshape(len(rows), ncols)
+
+
+def assert_table_written_as_rows(path, table):
+    columns = [f"c{j}" for j in range(table.shape[1])]
+    serialize.write_table(path / "table.csv", columns, table)
+    rows = [dict(zip(columns, row)) for row in table.tolist()]
+    serialize.write_csv(path / "rows.csv", columns, rows)
+    assert (path / "table.csv").read_bytes() == (path / "rows.csv").read_bytes()
+
+
+@given(float_tables(), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_write_table_writes_the_bytes_of_write_csv(tmp_path_factory, table, row_block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "ROW_BLOCK", row_block)
+        assert_table_written_as_rows(tmp_path_factory.mktemp("t"), table)
+
+
+def test_write_table_writes_a_long_table_in_row_blocks(tmp_path):
+    table = np.random.default_rng(7).standard_normal((10**5, 7)) * np.logspace(-300, 300, 7)
+    assert len(table) > 10 * serialize.ROW_BLOCK
+    assert_table_written_as_rows(tmp_path, table)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_table_refuses_a_cell_that_is_not_finite(tmp_path, bad):
+    table = np.ones((5, 3))
+    table[3, 1] = bad
+    with pytest.raises(ValueError, match=r"table cell \[3, 1\] is"):
+        serialize.write_table(tmp_path / "t.csv", ("a", "b", "c"), table)
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_thermal_mean_n_sweep_compiles_each_fock_block_once(tmp_path, monkeypatch):
     # the sweep_thermal benchmark config: 8 thermal points share 15 photon numbers
     values = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4]
@@ -745,6 +790,42 @@ def test_a_grid_whose_phases_rounded_away_exit_1(tmp_path, capsys, command, over
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert "phase rounding" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("evolve", {"n_atoms": 4, "evolve": {"t_final_seconds": 1e300}}),
+        ("evolve", {"n_atoms": 2, "delta_over_g": 6e4}),
+        ("protocol", {"n_atoms": 2, "delta_over_g": 6e4}),
+    ],
+)
+def test_the_phase_refusal_names_the_first_time_whatever_the_chunking(
+    tmp_path, capsys, monkeypatch, command, overrides
+):
+    cfg = write_config(tmp_path, **overrides)
+    errors = []
+    for budget in (subrad.dynamics.AMPLITUDE_BUDGET, 1):
+        monkeypatch.setattr(subrad.dynamics, "AMPLITUDE_BUDGET", budget)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    # the grid's first time past PHASE_TOL; the one before it passes
+    config = RunConfig.from_json(json.loads(cfg.read_text()))
+    params = config.params()
+    if config.t_final_seconds is None:
+        times = subrad.dynamics.default_trajectory_times(params, config.points)
+    else:
+        times = np.linspace(0.0, config.t_final_seconds, config.points)
+    n_max, ((_, n),) = subrad.protocol.fock_components(params, config.field, config.options)
+    block, _ = subrad.protocol._start(params, n, 1, n_max)
+    rounding = np.finfo(float).eps * np.max(np.abs(block.eigenvalues)) * times
+    i = int(np.argmax(rounding > subrad.dynamics.PHASE_TOL))
+    assert i > 0 and rounding[i - 1] <= subrad.dynamics.PHASE_TOL
+    assert errors[0] == (
+        f"error: ValueError: phase rounding {rounding[i]:.3e} rad at t = {times[i]:.3e} s "
+        f"exceeds {subrad.dynamics.PHASE_TOL}\n"
+    )
 
 
 def test_a_detuning_that_overflows_prints_only_the_refusal(tmp_path):

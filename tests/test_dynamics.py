@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from product.dynamics import (
+    TIME_CHUNK,
     compile_propagator,
     evolve,
     marginal_projected_weight,
@@ -28,7 +29,7 @@ from product.hilbert import (
 )
 from product.model import build_hamiltonian, collective_operator
 from product.protocol import dfs_weight
-from subrad.dynamics import TIME_CHUNK, EigensolverError, default_trajectory_times
+from subrad.dynamics import EigensolverError, default_trajectory_times
 from subrad.model import SystemParams
 
 G = 2 * math.pi * 24e3

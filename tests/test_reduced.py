@@ -14,7 +14,7 @@ from product.model import build_h0, build_hamiltonian, collective_operator
 from product.perturb import exact_vs_effective_error
 from product.protocol import dfs_weight, phase_gate
 from subrad import dynamics, perturb, protocol
-from subrad.dynamics import default_trajectory_times
+from subrad.dynamics import TRAJECTORY_COLUMNS, default_trajectory_times
 from subrad.fields import FieldSpec
 from subrad.model import SystemParams
 from subrad.protocol import (
@@ -125,16 +125,17 @@ def test_run_matches_product_engine(case):
 def test_trajectory_matches_product_engine(case, points):
     params, field, options, _ = case
     times = default_trajectory_times(params, points)
-    rows = trajectory(params, field, options, times)
+    table = trajectory(params, field, options, times)
     # atom 0 is the product readout's control atom
     expected = trajectory_rows(params, product_components(params, field, options, 0), times)
-    assert len(rows) == len(expected) == points
+    assert table.shape == (points, len(TRAJECTORY_COLUMNS))
+    assert len(expected) == points
     floor = rounding_floor(params, field, times[-1])
-    for row, ref in zip(rows, expected):
-        assert row.keys() == ref.keys()
-        for key, value in ref.items():
+    for row, ref in zip(table, expected):
+        assert tuple(ref) == TRAJECTORY_COLUMNS
+        for key, value in zip(TRAJECTORY_COLUMNS, row):
             scale = params.n_atoms if key == "jpjm" else 1
-            assert row[key] == pytest.approx(value, abs=1e-10 + scale * floor), key
+            assert value == pytest.approx(ref[key], abs=1e-10 + scale * floor), key
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 5])
@@ -241,11 +242,12 @@ def test_laboratory_frame_run_matches_the_atomic_frame():
     for key in ("fidelity_subradiant", "dfs_weight", "emission_expectation"):
         assert getattr(a, key) == pytest.approx(getattr(b, key), abs=1e-12), key
     times = default_trajectory_times(atomic, 50)
-    rows_lab = trajectory(lab, field, ProtocolOptions(), times)
-    rows_atomic = trajectory(atomic, field, ProtocolOptions(), times)
-    for row, ref in zip(rows_lab, rows_atomic):
-        for key, value in ref.items():
-            assert row[key] == pytest.approx(value, abs=1e-11), key
+    table_lab = trajectory(lab, field, ProtocolOptions(), times)
+    table_atomic = trajectory(atomic, field, ProtocolOptions(), times)
+    assert table_lab.shape == table_atomic.shape == (50, len(TRAJECTORY_COLUMNS))
+    for row, ref in zip(table_lab, table_atomic):
+        for key, value, expected in zip(TRAJECTORY_COLUMNS, row, ref):
+            assert value == pytest.approx(expected, abs=1e-11), key
 
 
 def test_block_has_at_most_two_n_states():
@@ -315,6 +317,46 @@ def test_outputs_do_not_depend_on_the_signs_of_the_eigenvectors(
             assert np.array_equal(*gated)
     errors = [perturb.slow_model_error(b, psi, times) for b in (block, flipped)]
     assert errors[0] == errors[1]
+
+
+@given(
+    n_atoms=st.integers(2, 12),
+    ratio=st.floats(10.0, 300.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    n=st.integers(0, 5),
+    step=st.integers(2, 40),
+    chunks=st.integers(3, 6),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_grid_split_into_chunks_matches_one_product(n_atoms, ratio, sign, n, step, chunks, data):
+    # a budget of `step` states (plus slack short of one more) per product, the last chunk ragged
+    params = SystemParams.from_detuning_ratio(n_atoms, G, sign * ratio)
+    field, options = FieldSpec.fock(n), ProtocolOptions()
+    n_max, _ = fock_components(params, field, options)
+    block, psi = _start(params, n, 1, n_max)
+    dim = len(block.rungs)
+    budget = step * dim + data.draw(st.integers(0, dim - 1))
+    times = default_trajectory_times(params, chunks * step + data.draw(st.integers(1, step - 1)))
+    whole = list(dynamics.evolve_grid(block, psi, times))
+    table = trajectory(params, field, options, times)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "AMPLITUDE_BUDGET", budget)
+        parts = list(dynamics.evolve_grid(block, psi, times))
+        chunked_table = trajectory(params, field, options, times)
+    assert len(whole) == 1 and len(parts) == chunks + 1
+    assert all(part.size <= budget for part in parts)
+    assert 0 < len(parts[-1]) < step
+    # numpy sends a one-row product through a matrix-vector kernel, and OpenBLAS's
+    # matrix-vector kernel sums the rows past a chunk's last multiple of 4 in another order:
+    # a one-time chunk and the <J+J-> readout are held to the rounding of a dim-term sum
+    exact = len(times) - (len(parts[-1]) == 1)
+    other = [i for i, key in enumerate(TRAJECTORY_COLUMNS) if key != "jpjm"]
+    assert np.array_equal(np.concatenate(parts)[:exact], whole[0][:exact])
+    assert np.array_equal(chunked_table[:exact, other], table[:exact, other])
+    tol = 8 * dim * np.finfo(float).eps
+    assert np.allclose(np.concatenate(parts), whole[0], rtol=tol, atol=tol)
+    assert np.allclose(chunked_table, table, rtol=tol, atol=tol)
 
 
 def test_evolve_grid_refuses_a_state_that_is_not_a_number():
