@@ -112,6 +112,28 @@ def _field(obj) -> FieldSpec:
     return FieldSpec.coherent(complex(real, imag))
 
 
+SWEEP_AXES = ("N", "delta_ratio", "mean_n")
+
+
+def _sweep(obj: dict, ratio: float | None, field: FieldSpec) -> tuple[str | None, tuple]:
+    """The sweep section's axis (None if absent) and values, refused if no point can take one."""
+    values = obj.get("values", [])
+    if not isinstance(values, list):
+        raise ConfigError(f"sweep.values must be an array, got {values!r}")
+    values = tuple(_real(v, "sweep.values") for v in values)
+    axis = obj.get("axis")
+    if "axis" in obj and axis not in SWEEP_AXES:
+        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+    for value in values:
+        if axis == "N" and value != int(value):
+            raise ConfigError(f"atom count must be an integer, got {value}")
+        if axis == "delta_ratio" and ratio is None:
+            raise ConfigError("delta_ratio sweeps need a delta_over_g style config")
+        if axis == "mean_n" and field.kind == "fock" and value != int(value):
+            raise ConfigError(f"Fock sweep values must be integers, got {value}")
+    return axis, values
+
+
 class RunConfig(NamedTuple):
     """Parsed run configuration; see README for the JSON schema."""
 
@@ -127,6 +149,8 @@ class RunConfig(NamedTuple):
     t_final_seconds: float | None  # evolve span; None = one slow period
     spectrum_block: int
     h0_only: bool  # spectrum of the free Hamiltonian alone
+    sweep_axis: str | None  # None when the sweep section has no axis
+    sweep_values: tuple[float, ...]
     raw: dict
 
     @classmethod
@@ -191,6 +215,10 @@ class RunConfig(NamedTuple):
             block = _integer(spectrum["block"], "spectrum.block")
         else:
             block = _integer(spectrum.get("photons", 0), "spectrum.photons") + 1
+        allow_invalid = _boolean(obj.get("allow_invalid", False), "allow_invalid")
+        t_final = t_final if t_final is None else _real(t_final, "evolve.t_final_seconds")
+        h0_only = _boolean(spectrum.get("h0_only", False), "spectrum.h0_only")
+        sweep_axis, sweep_values = _sweep(sections["sweep"], ratio, field)
         return cls(
             n_atoms=n_atoms,
             g_over_2pi_hz=g_hz,
@@ -199,11 +227,13 @@ class RunConfig(NamedTuple):
             omega_c_over_2pi_hz=oc if has_pair else None,
             field=field,
             options=options,
-            allow_invalid=_boolean(obj.get("allow_invalid", False), "allow_invalid"),
+            allow_invalid=allow_invalid,
             points=points,
-            t_final_seconds=t_final if t_final is None else _real(t_final, "evolve.t_final_seconds"),
+            t_final_seconds=t_final,
             spectrum_block=block,
-            h0_only=_boolean(spectrum.get("h0_only", False), "spectrum.h0_only"),
+            h0_only=h0_only,
+            sweep_axis=sweep_axis,
+            sweep_values=sweep_values,
             raw=obj,
         )
 
@@ -264,8 +294,6 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-SWEEP_AXES = ("N", "delta_ratio", "mean_n")
-
 SWEEP_COLUMNS = (
     "point",
     "axis",
@@ -288,24 +316,8 @@ SWEEP_COLUMNS = (
 )
 
 
-def _check_point(config: RunConfig, axis, value: float) -> float:
-    """`value`, refused if no point of this config can take it."""
-    if axis == "N":
-        if value != int(value):
-            raise ConfigError(f"atom count must be an integer, got {value}")
-    elif axis == "delta_ratio":
-        if config.delta_over_g is None:
-            raise ConfigError("delta_ratio sweeps need a delta_over_g style config")
-    elif axis == "mean_n":
-        if config.field.kind == "fock" and value != int(value):
-            raise ConfigError(f"Fock sweep values must be integers, got {value}")
-    else:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    return value
-
-
 def _at(config: RunConfig, axis: str, value: float) -> RunConfig:
-    """The config of the sweep point axis = value, which _check_point has passed."""
+    """The config of the sweep point axis = value, which _sweep has passed."""
     if axis == "N":
         return config._replace(n_atoms=int(value))
     if axis == "delta_ratio":
@@ -341,15 +353,10 @@ def _sweep_point(idx: int, axis: str, value: float, config: RunConfig) -> dict:
 
 
 def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
-    sweep = config.raw.get("sweep")
-    if not sweep or "axis" not in sweep or not sweep.get("values"):
+    axis = config.sweep_axis
+    if axis is None or not config.sweep_values:
         raise ConfigError('sweep runs need config["sweep"] = {"axis": ..., "values": [...]}')
-    axis, values = sweep["axis"], sweep["values"]
-    if not isinstance(values, list):
-        raise ConfigError(f"sweep.values must be an array, got {values!r}")
-    # every point is checked before the first point runs
-    points = [_check_point(config, axis, _real(v, "sweep.values")) for v in values]
-    rows = [_sweep_point(i, axis, v, config) for i, v in enumerate(points)]
+    rows = [_sweep_point(i, axis, v, config) for i, v in enumerate(config.sweep_values)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     serialize.write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)

@@ -203,6 +203,29 @@ def test_refused_configs_print_the_usage_then_the_message(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        (
+            {"axis": "mean_n", "values": [math.nan, math.inf]},
+            "sweep.values must be a finite number, got nan",
+        ),
+        ({"axis": "N", "values": [3, 2.5]}, "atom count must be an integer, got 2.5"),
+        ({"axis": "mean_n", "values": [0, 1.5]}, "Fock sweep values must be integers, got 1.5"),
+        ({"axis": "bogus"}, f"sweep axis must be one of {subrad.cli.SWEEP_AXES}, got 'bogus'"),
+        ({"values": "30"}, "sweep.values must be an array, got '30'"),
+    ],
+    ids=["non-finite", "fractional-N", "fractional-fock", "axis", "not-an-array"],
+)
+@pytest.mark.parametrize("command", ["protocol", "sweep", "spectrum", "evolve"])
+def test_every_command_refuses_a_bad_sweep_section(tmp_path, capsys, command, sweep, message):
+    cfg = write_config(tmp_path, n_atoms=3, delta_over_g=100.0, sweep=sweep)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.endswith(f"\nerror: {message}\n"), err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
 @pytest.mark.parametrize("command", ["protocol", "sweep", "spectrum", "evolve"])
 def test_unreadable_config_exit_1(tmp_path, capsys, command, text):
@@ -489,17 +512,25 @@ def test_write_csv_quotes_cells_with_commas_and_quotes(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("counts", [None, [1] * 8], ids=["rows", "counted"])
+@pytest.mark.parametrize("counts", [None, [1] * 5], ids=["rows", "counted"])
 def test_write_csv_text_of_values_that_compare_equal(tmp_path, counts):
     # -0.0 == 0.0 and True == 1 == 1.0, yet each has its own text
-    values = [-0.0, 0.0, math.nan, math.inf, -math.inf, True, 1, 1.0]
+    values = [-0.0, 0.0, True, 1, 1.0]
     rows = [{"i": i, "v": v} for i, v in enumerate(values)]
     serialize.write_csv(tmp_path / "t.csv", ("i", "v"), rows, counts)
     lines = (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()
     assert lines == ["i,v"] + [
-        f"{i},{text}"
-        for i, text in enumerate(["-0", "0", "NaN", "Infinity", "-Infinity", "true", "1", "1"])
+        f"{i},{text}" for i, text in enumerate(["-0", "0", "true", "1", "1"])
     ]
+
+
+@pytest.mark.parametrize("counts", [None, [2, 1, 1]], ids=["rows", "counted"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_csv_refuses_a_cell_that_is_not_finite(tmp_path, bad, counts):
+    rows = [{"i": 0, "v": 0.5}, {"i": 1, "v": bad}, {"i": 2, "v": 1.5}]
+    with pytest.raises(ValueError, match=f"cell of column v is {bad}"):
+        serialize.write_csv(tmp_path / "t.csv", ("i", "v"), rows, counts)
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_write_csv_numbers_counted_rows_in_the_first_column(tmp_path):
@@ -1105,11 +1136,62 @@ def test_floats_emitted_with_17_digits(tmp_path):
 
 
 def test_report_json_escapes_echoed_strings_and_keys(tmp_path):
-    # protocol checks only the key names of the sweep section and echoes its strings
     sweep = {"axis": "mean\tn\né \"q\" \\", "values": [{'a "quoted" key\u0001': 1}]}
-    cfg = write_config(tmp_path, n_atoms=3, sweep=sweep)
-    assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    text = (tmp_path / "o" / "report.json").read_text(encoding="utf-8")
+    serialize.dump_json({"config": {"sweep": sweep}}, tmp_path / "report.json")
+    text = (tmp_path / "report.json").read_text(encoding="utf-8")
     assert json.loads(text)["config"]["sweep"] == sweep
     # characters that need no escape keep their bytes
     assert '"mean\\tn\\né \\"q\\" \\\\"' in text
+
+
+def refuse_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+def assert_same_json(got, want, where="$"):
+    """Equal values of equal types, keys in the same order, floats bit for bit."""
+    assert type(got) is type(want), (where, got, want)
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_same_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_same_json(a, b, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert got.hex() == want.hex(), (where, got, want)
+    else:
+        assert got == want, (where, got, want)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"field": {"kind": "fock", "n": 2}, "options": {"phi_override": 0.25}},
+        {"field": {"kind": "coherent", "amplitude_re": 0.6, "amplitude_im": -0.3}, "seed": 7},
+        {"field": {"kind": "thermal", "mean_n": 0.2}, "options": {"tm_branch": 1}},
+        {**OMEGA_PAIR, "field": {"kind": "fock", "n": 1}},
+    ],
+    ids=["fock", "coherent", "thermal", "laboratory"],
+)
+def test_report_json_parses_to_the_config_and_the_report(tmp_path, overrides):
+    cfg = write_config(tmp_path, n_atoms=5, delta_over_g=-40.0)
+    raw = {**json.loads(cfg.read_text()), **overrides}
+    raw = {k: v for k, v in raw.items() if v is not None}
+    cfg.write_text(json.dumps(raw))
+    assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "report.json").read_text(encoding="utf-8")
+    payload = json.loads(text, parse_constant=refuse_constant)
+    config = RunConfig.from_json(raw)
+    report = subrad.protocol.run(config.params(), config.field, config.options)
+    assert_same_json(payload, {"config": raw, "report": report.to_dict()})
+    # an integral float of the config comes back as a float
+    assert type(payload["config"]["g_over_2pi_hz"]) is float
+    assert f'"g_over_2pi_hz": {G_HZ!r},' in text
+
+
+def test_dump_json_refuses_nan_and_leaves_no_file(tmp_path):
+    with pytest.raises(ValueError):
+        serialize.dump_json({"x": math.nan}, tmp_path / "report.json")
+    assert not (tmp_path / "report.json").exists()
