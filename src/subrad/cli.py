@@ -50,7 +50,7 @@ TOP_KEYS = frozenset(
     }
 )
 SECTION_KEYS = {
-    "options": frozenset({"tm_branch", "phi_override", "n_max", "pt_times", "excite_control"}),
+    "options": frozenset(ProtocolOptions._fields) - {"seed"},  # seed is a top-level key
     "sweep": frozenset({"axis", "values"}),
     "spectrum": frozenset({"photons", "block", "h0_only"}),
     "evolve": frozenset({"points", "t_final_seconds"}),
@@ -79,6 +79,14 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _count(value, key: str) -> int:
+    """An integer of at least 1 from a config."""
+    count = _integer(value, key)
+    if count < 1:
+        raise ConfigError(f"{key} must be at least 1, got {count}")
+    return count
+
+
 def _boolean(value, key: str) -> bool:
     """A JSON true or false from a config; strings, numbers and null refused."""
     if not isinstance(value, bool):
@@ -91,6 +99,14 @@ def _real(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return float(value)
+
+
+# Each option's parser, in the order a config's options are checked; the
+# option names and defaults are ProtocolOptions' own.
+OPTION_PARSERS = {
+    "pt_times": _count, "n_max": _integer, "tm_branch": _integer,
+    "phi_override": _real, "excite_control": _boolean,
+}
 
 
 def _field(obj) -> FieldSpec:
@@ -157,85 +173,53 @@ class RunConfig(NamedTuple):
     def from_json(cls, obj: dict) -> "RunConfig":
         _known(obj, TOP_KEYS, "the config")
         sections = {k: _known(obj.get(k, {}), keys, k) for k, keys in SECTION_KEYS.items()}
-        try:
-            n_atoms = _integer(obj["n_atoms"], "n_atoms")
-            g_hz = _real(obj["g_over_2pi_hz"], "g_over_2pi_hz")
-        except KeyError as exc:
-            raise ConfigError(f"config is missing required key {exc}") from exc
-        if g_hz <= 0:
-            raise ConfigError(f"g_over_2pi_hz must be positive, got {g_hz}")
+        values = {}
+        for key, parse in (("n_atoms", _integer), ("g_over_2pi_hz", _real)):
+            if key not in obj:
+                raise ConfigError(f"config is missing required key {key!r}")
+            values[key] = parse(obj[key], key)
+        if values["g_over_2pi_hz"] <= 0:
+            raise ConfigError(f"g_over_2pi_hz must be positive, got {values['g_over_2pi_hz']}")
 
-        ratio = obj.get("delta_over_g")
-        oa = obj.get("omega_a_over_2pi_hz")
-        oc = obj.get("omega_c_over_2pi_hz")
-        has_pair = oa is not None or oc is not None
-        if (ratio is None) == (not has_pair):
+        frame = ("delta_over_g", "omega_a_over_2pi_hz", "omega_c_over_2pi_hz")
+        has_ratio, *has_pair = (obj.get(k) is not None for k in frame)
+        if has_ratio == any(has_pair):
             raise ConfigError(
                 "supply exactly one of delta_over_g or the "
                 "omega_a_over_2pi_hz/omega_c_over_2pi_hz pair"
             )
-        if has_pair:
-            if oa is None or oc is None:
-                raise ConfigError("the omega pair needs both omega_a and omega_c")
-            oa = _real(oa, "omega_a_over_2pi_hz")
-            oc = _real(oc, "omega_c_over_2pi_hz")
-            if oa <= 0 or oc <= 0:
-                raise ConfigError("omega_*_over_2pi_hz must be positive")
-        else:
-            ratio = _real(ratio, "delta_over_g")
+        if any(has_pair) and not all(has_pair):
+            raise ConfigError("the omega pair needs both omega_a and omega_c")
+        values.update({k: None if obj.get(k) is None else _real(obj[k], k) for k in frame})
+        if any(has_pair) and min(values[k] for k in frame[1:]) <= 0:
+            raise ConfigError("omega_*_over_2pi_hz must be positive")
 
-        field = _field(obj.get("field", {"kind": "fock", "n": 0}))
-
-        opt = sections["options"]
+        values["field"] = _field(obj.get("field", {"kind": "fock", "n": 0}))
         seed = obj.get("seed")
-        seed = seed if seed is None else _integer(seed, "seed")
-        n_max = opt.get("n_max")
-        phi = opt.get("phi_override")
-        pt_times = _integer(opt.get("pt_times", 101), "options.pt_times")
-        if pt_times < 1:
-            raise ConfigError(f"options.pt_times must be at least 1, got {pt_times}")
-        options = ProtocolOptions(
-            n_max=n_max if n_max is None else _integer(n_max, "options.n_max"),
-            tm_branch=_integer(opt.get("tm_branch", 0), "options.tm_branch"),
-            phi_override=phi if phi is None else _real(phi, "options.phi_override"),
-            excite_control=_boolean(opt.get("excite_control", True), "options.excite_control"),
-            pt_times=pt_times,
-            seed=seed,
-        )
+        options = {"seed": seed if seed is None else _integer(seed, "seed")}
+        for name, parse in OPTION_PARSERS.items():
+            default = ProtocolOptions._field_defaults[name]
+            value = sections["options"].get(name, default)
+            # an absent option takes its default unparsed, as does null where that is None
+            options[name] = value if value is default else parse(value, f"options.{name}")
+        values["options"] = ProtocolOptions(**options)
 
-        evolve = sections["evolve"]
-        points = _integer(evolve.get("points", 400), "evolve.points")
-        if points < 1:
-            raise ConfigError(f"evolve.points must be at least 1, got {points}")
-        t_final = evolve.get("t_final_seconds")
-        spectrum = sections["spectrum"]
+        evolve, spectrum = sections["evolve"], sections["spectrum"]
+        values["points"] = _count(evolve.get("points", 400), "evolve.points")
         if "block" in spectrum:
             if "photons" in spectrum:
                 raise ConfigError("supply at most one of spectrum.block or spectrum.photons")
-            block = _integer(spectrum["block"], "spectrum.block")
+            values["spectrum_block"] = _integer(spectrum["block"], "spectrum.block")
         else:
-            block = _integer(spectrum.get("photons", 0), "spectrum.photons") + 1
-        allow_invalid = _boolean(obj.get("allow_invalid", False), "allow_invalid")
-        t_final = t_final if t_final is None else _real(t_final, "evolve.t_final_seconds")
-        h0_only = _boolean(spectrum.get("h0_only", False), "spectrum.h0_only")
-        sweep_axis, sweep_values = _sweep(sections["sweep"], ratio, field)
-        return cls(
-            n_atoms=n_atoms,
-            g_over_2pi_hz=g_hz,
-            delta_over_g=ratio,
-            omega_a_over_2pi_hz=oa if has_pair else None,
-            omega_c_over_2pi_hz=oc if has_pair else None,
-            field=field,
-            options=options,
-            allow_invalid=allow_invalid,
-            points=points,
-            t_final_seconds=t_final,
-            spectrum_block=block,
-            h0_only=h0_only,
-            sweep_axis=sweep_axis,
-            sweep_values=sweep_values,
-            raw=obj,
+            values["spectrum_block"] = _integer(spectrum.get("photons", 0), "spectrum.photons") + 1
+        values["allow_invalid"] = _boolean(obj.get("allow_invalid", False), "allow_invalid")
+        span = evolve.get("t_final_seconds")
+        values["t_final_seconds"] = span if span is None else _real(span, "evolve.t_final_seconds")
+        values["h0_only"] = _boolean(spectrum.get("h0_only", False), "spectrum.h0_only")
+        values["sweep_axis"], values["sweep_values"] = _sweep(
+            sections["sweep"], values["delta_over_g"], values["field"]
         )
+        return cls(**values, raw=obj)
 
     def params(self) -> SystemParams:
         g = TWO_PI * self.g_over_2pi_hz

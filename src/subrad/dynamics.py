@@ -213,7 +213,7 @@ def readouts(block: Block, amps: np.ndarray) -> dict[str, np.ndarray]:
         "p_single_offcontrol": np.abs(psi01) ** 2,
         "p_symmetric": np.abs(s) ** 2,
         "p_subradiant": np.abs(d) ** 2,
-        "jpjm": np.abs(amps) ** 2 @ lowered,
+        "jpjm": (np.abs(amps) ** 2 * lowered).sum(-1),
         "norm_error": np.abs(np.linalg.norm(amps, axis=-1) - 1.0),
     }
 

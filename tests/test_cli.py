@@ -22,8 +22,8 @@ import subrad.cli
 import subrad.protocol
 from subrad import serialize
 from subrad.cli import RunConfig, cmd_sweep, main
-from subrad.fields import FieldSpec
-from subrad.protocol import ProtocolReport, component_outcome
+from subrad.fields import FIELD_KINDS, FieldSpec
+from subrad.protocol import ProtocolOptions, ProtocolReport, component_outcome
 
 G_HZ = 24000.0
 
@@ -189,6 +189,124 @@ OMEGA_PAIR = {"delta_over_g": None, "omega_a_over_2pi_hz": 5e9, "omega_c_over_2p
             {**OMEGA_PAIR, "omega_a_over_2pi_hz": -5e9},
             "omega_*_over_2pi_hz must be positive",
         ),
+        # two faults per config, across sections: the one checked first is named
+        (
+            "protocol",
+            {"g_over_2pi_hz": -1, "seed": 2.5},
+            "g_over_2pi_hz must be positive, got -1.0",
+        ),
+        (
+            "protocol",
+            {"omega_a_over_2pi_hz": 5e9, "omega_c_over_2pi_hz": 5.1e9, "delta_over_g": "30"},
+            "supply exactly one of delta_over_g or the "
+            "omega_a_over_2pi_hz/omega_c_over_2pi_hz pair",
+        ),
+        (
+            "protocol",
+            {"options": {"pt_times": 0, "n_max": 2.2}},
+            "options.pt_times must be at least 1, got 0",
+        ),
+        (
+            "protocol",
+            {"optoins": {}, "options": {"tm_branch": "1"}},
+            "unknown key(s) in the config: optoins",
+        ),
+        (
+            "protocol",
+            {"evolve": {"points": 0}, "spectrum": {"block": 2.7}},
+            "evolve.points must be at least 1, got 0",
+        ),
+        (
+            "protocol",
+            {"allow_invalid": "no", "evolve": {"t_final_seconds": math.nan}},
+            "allow_invalid must be true or false, got 'no'",
+        ),
+        (
+            "protocol",
+            {"n_atoms": 2.5, "g_over_2pi_hz": None},
+            "n_atoms must be an integer, got 2.5",
+        ),
+        (
+            "protocol",
+            {"n_atoms": None, "options": {"pt_time": 3}},
+            "unknown key(s) in options: pt_time",
+        ),
+        (
+            "protocol",
+            {"sweep": {"step": 1}, "evolve": {"point": 9}},
+            "unknown key(s) in sweep: step",
+        ),
+        ("protocol", {"options": [1], "sweep": "N"}, "options must be a JSON object, got [1]"),
+        (
+            "protocol",
+            {"field": {"kind": "squeezed"}, "seed": True},
+            f"field.kind must be one of {FIELD_KINDS}, got 'squeezed'",
+        ),
+        (
+            "protocol",
+            {"seed": "7", "options": {"tm_branch": 0.5}},
+            "seed must be an integer, got '7'",
+        ),
+        (
+            "protocol",
+            {"options": {"tm_branch": 0.5, "phi_override": math.nan}},
+            "options.tm_branch must be an integer, got 0.5",
+        ),
+        (
+            "protocol",
+            {"options": {"n_max": 20.2, "tm_branch": 0.5}},
+            "options.n_max must be an integer, got 20.2",
+        ),
+        (
+            "protocol",
+            {"options": {"phi_override": "pi", "excite_control": "yes"}},
+            "options.phi_override must be a finite number, got 'pi'",
+        ),
+        (
+            "protocol",
+            {"options": {"excite_control": None}, "evolve": {"points": 2.5}},
+            "options.excite_control must be true or false, got None",
+        ),
+        (
+            "protocol",
+            {"spectrum": {"block": 2, "photons": 1}, "allow_invalid": "no"},
+            "supply at most one of spectrum.block or spectrum.photons",
+        ),
+        (
+            "protocol",
+            {"spectrum": {"photons": 0.5, "h0_only": "false"}},
+            "spectrum.photons must be an integer, got 0.5",
+        ),
+        (
+            "protocol",
+            {"evolve": {"t_final_seconds": math.inf}, "spectrum": {"h0_only": 1}},
+            "evolve.t_final_seconds must be a finite number, got inf",
+        ),
+        (
+            "protocol",
+            {"spectrum": {"h0_only": 0}, "sweep": {"axis": "bogus"}},
+            "spectrum.h0_only must be true or false, got 0",
+        ),
+        (
+            "protocol",
+            {**OMEGA_PAIR, "omega_c_over_2pi_hz": None, "field": {"kind": "coherent", "n": 1}},
+            "the omega pair needs both omega_a and omega_c",
+        ),
+        (
+            "protocol",
+            {**OMEGA_PAIR, "omega_a_over_2pi_hz": -5e9, "field": {"kind": "squeezed"}},
+            "omega_*_over_2pi_hz must be positive",
+        ),
+        (
+            "protocol",
+            {"field": {"kind": "fock"}, "options": {"pt_times": 0}},
+            "config is missing required key 'field.n'",
+        ),
+        (
+            "protocol",
+            {"g_over_2pi_hz": None, "delta_over_g": math.nan},
+            "config is missing required key 'g_over_2pi_hz'",
+        ),
     ],
 )
 def test_refused_configs_print_the_usage_then_the_message(
@@ -201,6 +319,13 @@ def test_refused_configs_print_the_usage_then_the_message(
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and err.endswith(f"\nerror: {message}\n"), err
     assert not (tmp_path / "o").exists()
+
+
+def test_options_take_their_names_and_defaults_from_protocol_options():
+    base = {"n_atoms": 3, "g_over_2pi_hz": G_HZ, "delta_over_g": 100.0}
+    assert RunConfig.from_json(base).options == ProtocolOptions()
+    assert RunConfig.from_json({**base, "options": {}}).options == ProtocolOptions()
+    assert subrad.cli.SECTION_KEYS["options"] == set(ProtocolOptions._fields) - {"seed"}
 
 
 @pytest.mark.parametrize(

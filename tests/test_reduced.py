@@ -349,14 +349,29 @@ def test_a_grid_split_into_chunks_matches_one_product(n_atoms, ratio, sign, n, s
     assert 0 < len(parts[-1]) < step
     # numpy sends a one-row product through a matrix-vector kernel, and OpenBLAS's
     # matrix-vector kernel sums the rows past a chunk's last multiple of 4 in another order:
-    # a one-time chunk and the <J+J-> readout are held to the rounding of a dim-term sum
+    # a one-time chunk is held to the rounding of a dim-term sum
     exact = len(times) - (len(parts[-1]) == 1)
-    other = [i for i, key in enumerate(TRAJECTORY_COLUMNS) if key != "jpjm"]
     assert np.array_equal(np.concatenate(parts)[:exact], whole[0][:exact])
-    assert np.array_equal(chunked_table[:exact, other], table[:exact, other])
+    assert np.array_equal(chunked_table[:exact], table[:exact])
     tol = 8 * dim * np.finfo(float).eps
     assert np.allclose(np.concatenate(parts), whole[0], rtol=tol, atol=tol)
     assert np.allclose(chunked_table, table, rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("n_atoms, n", [(6, 3), (11, 6), (20, 14), (40, 30)])
+def test_trajectory_rows_do_not_depend_on_the_amplitude_budget(n_atoms, n):
+    # blocks of 9, 15, 31 and 63 states; 40 times cut into products of 2, 4, 6, 7 and 19
+    # times leave no product of one time, the one shape numpy sends to another kernel
+    params = SystemParams.from_detuning_ratio(n_atoms, G, 40.0)
+    field, options = FieldSpec.fock(n), ProtocolOptions()
+    n_max, _ = fock_components(params, field, options)
+    dim = len(_start(params, n, 1, n_max)[0].rungs)
+    times = default_trajectory_times(params, 40)
+    table = trajectory(params, field, options, times)
+    for step in (2, 4, 6, 7, 19):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "AMPLITUDE_BUDGET", step * dim + dim - 1)
+            assert np.array_equal(trajectory(params, field, options, times), table), step
 
 
 def test_evolve_grid_refuses_a_state_that_is_not_a_number():
