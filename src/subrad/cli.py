@@ -32,7 +32,7 @@ from .dynamics import (  # noqa: F401
 from .fields import FIELD_KINDS, FieldSpec
 from .model import SystemParams
 from .perturb import closed_form_corrections, validity_parameter, validity_grade
-from .protocol import NoSubradiantSectorError, ProtocolOptions, run, trajectory
+from .protocol import NoSubradiantSectorError, ProtocolOptions, _run, run, trajectory
 
 TWO_PI = 2.0 * math.pi
 
@@ -258,9 +258,7 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
         )
         return 2
 
-    report = run(params, config.field, config.options)
-    times = default_trajectory_times(params, config.points)
-    table = trajectory(params, config.field, config.options, times)
+    report, table = _run(params, config.field, config.options, config.points)
     out_dir.mkdir(parents=True, exist_ok=True)
     serialize.dump_json(
         {"config": config.raw, "report": report.to_dict()}, out_dir / "report.json"

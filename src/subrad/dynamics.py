@@ -80,6 +80,7 @@ class Block(FrozenRecord):
         "params",
         "rungs",  # excited atoms e of each amplitude
         "ladder",  # N/2 - j of each amplitude: 0 symmetric, 1 the other
+        "control_share",  # overlap of each amplitude's state with |1, e-1> on its rung
         "offset",  # omega_c M - omega_a N/2, left out of the eigenvalues
         "eigenvalues",
         "eigenvectors",  # real orthonormal columns, block diagonal by ladder
@@ -87,11 +88,6 @@ class Block(FrozenRecord):
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def control_share(self) -> np.ndarray:
-        """Overlap of each amplitude's state with |1, e-1> on its rung."""
-        nn = self.params.n_atoms
-        return np.sqrt(np.where(self.ladder == 0, self.rungs, nn - self.rungs) / nn)
 
     def rung_one(self, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Amplitudes on |S> and |D> of amplitudes of shape (..., dim); zero where absent."""
@@ -110,9 +106,9 @@ def _ladder(params: SystemParams, lo: int, m_total: int, n_max: int, g: float, d
     e = np.arange(max(lo, m_total - n_max), min(nn - lo, m_total) + 1)
     n = m_total - e
     h = np.diag(diagonal(e, n))
-    i = np.arange(1, e.size)
-    # <e-1, n+1| a' J- |e, n> = sqrt(n+1) sqrt((e - lo)(nn - lo - e + 1))
-    h[i, i - 1] = h[i - 1, i] = g * np.sqrt((n[i] + 1) * (e[i] - lo) * (nn - lo - e[i] + 1))
+    # <e-1, n+1| a' J- |e, n> = sqrt(n+1) sqrt((e - lo)(nn - lo - e + 1)), just off the diagonal
+    coupling = g * np.sqrt((n[1:] + 1) * (e[1:] - lo) * (nn - lo - e[1:] + 1))
+    h.flat[1 :: e.size + 1] = h.flat[e.size :: e.size + 1] = coupling
     return e, h
 
 
@@ -122,8 +118,7 @@ def _eigh(h: np.ndarray, m_total: int) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigendecomposition failed on block {m_total}") from exc
-    resid = np.linalg.norm((v * w) @ v.T - h)
-    scale = np.linalg.norm(h)
+    resid, scale = (math.sqrt(np.vdot(x, x)) for x in ((v * w) @ v.T - h, h))  # Frobenius norms
     if not resid <= RECONSTRUCTION_TOL * max(scale, 1.0) < math.inf:  # NaN and overflow fail
         raise EigensolverError(
             f"block {m_total}: reconstruction error {resid:.3e} above "
@@ -141,48 +136,54 @@ def compile_propagator(params: SystemParams, m_total: int, n_max: int) -> Block:
     # the second ladder has no rung in block 0, nor at all for N = 1
     pairs = [_eigh(h, m_total) for _, h in ladders if h.size]
     rungs = np.concatenate([e for e, _ in ladders])
+    ladder = np.repeat([0, 1], [e.size for e, _ in ladders])
     v = np.zeros((rungs.size, rungs.size))
-    i = 0
-    for _, part in pairs:
+    for (_, part), i in zip(pairs, (0, ladders[0][0].size)):
         v[i : i + len(part), i : i + len(part)] = part
-        i += len(part)
+    nn = params.n_atoms
     return Block(
         params=params,
         rungs=rungs,
-        ladder=np.repeat([0, 1], [e.size for e, _ in ladders]),
-        offset=params.omega_c * m_total - params.omega_a * params.n_atoms / 2.0,
+        ladder=ladder,
+        control_share=np.sqrt(np.where(ladder == 0, rungs, nn - rungs) / nn),
+        offset=params.omega_c * m_total - params.omega_a * nn / 2.0,
         eigenvalues=np.concatenate([w for w, _ in pairs]),
         eigenvectors=v,
     )
 
 
-def evolve_grid(block: Block, psi: np.ndarray, times) -> Iterator[np.ndarray]:
-    """exp(-iHt) psi at every time of a grid: V (exp(-i w t') * (V' psi)) exp(-i offset t).
+def evolve_grid(block: Block, psi: np.ndarray, *grids) -> Iterator[np.ndarray]:
+    """exp(-iHt) psi at each grid's times in turn: V (exp(-i w t') * (V' psi)) exp(-i offset t).
 
-    Yields arrays of shape (chunk length, dim) of at most AMPLITUDE_BUDGET
-    amplitudes, or of one time where a state alone exceeds it.  Before the
-    first product, the grid is refused at its first time whose phase
-    rounding, about eps |w| |t|, exceeds PHASE_TOL.  Every evolved state
-    must stay normalized.
+    Each grid is cut into the fewest products of at most AMPLITUDE_BUDGET
+    amplitudes (one time each where a state alone exceeds it) whose lengths
+    differ by at most one, so that no product holds a single time where the
+    budget holds three; yields arrays of shape (product length, dim).  One
+    V' psi serves every grid, and before the first product the grids are
+    refused at their first time whose phase rounding, about eps |w| |t|,
+    exceeds PHASE_TOL.  Every evolved state must stay normalized.
     """
     v = block.eigenvectors
     coeffs = v.T @ psi
-    times = np.asarray(times, dtype=float)
+    grids = [np.asarray(times, dtype=float) for times in grids]
+    times = np.concatenate(grids)
     rounding = np.finfo(float).eps * np.max(np.abs(block.eigenvalues), initial=0.0) * np.abs(times)
     # a time of inf leaves no state at all, which the norm check names
     for i in np.flatnonzero((rounding > PHASE_TOL) & (rounding < math.inf))[:1]:
         msg = f"phase rounding {rounding[i]:.3e} rad at t = {times[i]:.3e} s exceeds {PHASE_TOL}"
         raise ValueError(msg)
     step = max(1, AMPLITUDE_BUDGET // len(coeffs))
-    for start in range(0, len(times), step):
-        t = times[start : start + step, None]
-        amps = (np.exp(-1j * block.eigenvalues * t) * coeffs) @ v.T
-        amps *= np.exp(-1j * block.offset * t)
-        norms = np.linalg.norm(amps, axis=-1)
-        off = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN norms fail
-        if np.any(off):
-            raise ValueError(f"state norm {norms[off][0]} deviates from 1 beyond {NORM_TOL}")
-        yield amps
+    for times in grids:
+        count = -(-len(times) // step)
+        for k in range(count):
+            t = times[k * len(times) // count : (k + 1) * len(times) // count, None]
+            amps = (np.exp(-1j * block.eigenvalues * t) * coeffs) @ v.T
+            amps *= np.exp(-1j * block.offset * t)
+            norms = np.linalg.norm(amps, axis=-1)
+            off = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN norms fail
+            if np.any(off):
+                raise ValueError(f"state norm {norms[off][0]} deviates from 1 beyond {NORM_TOL}")
+            yield amps
 
 
 def evolve(block: Block, psi: np.ndarray, t: float) -> np.ndarray:
@@ -191,31 +192,28 @@ def evolve(block: Block, psi: np.ndarray, t: float) -> np.ndarray:
     return amps[0]
 
 
-def single_excitation_pair(block: Block, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """psi10 and psi01 of amplitudes of shape (..., dim); zero where absent."""
+def single_excitation_pair(n_atoms: int, s, d) -> tuple:
+    """psi10 and psi01 from the amplitudes s on |S> and d on |D> (`Block.rung_one`)."""
+    root = math.sqrt(n_atoms - 1)
+    return (s + root * d) / math.sqrt(n_atoms), (root * s - d) / math.sqrt(n_atoms)
+
+
+def _jpjm(block: Block, amps: np.ndarray) -> np.ndarray:
+    """<J+J-> of amplitudes of shape (..., dim); J- = sqrt((e - lo)(N - lo - e + 1)) per rung."""
     nn = block.params.n_atoms
-    s, d = block.rung_one(amps)
-    return (s + math.sqrt(nn - 1) * d) / math.sqrt(nn), (math.sqrt(nn - 1) * s - d) / math.sqrt(nn)
-
-
-def readouts(block: Block, amps: np.ndarray) -> dict[str, np.ndarray]:
-    """TRAJECTORY_COLUMNS[1:] of amplitudes of shape (..., dim).
-
-    p_symmetric and p_subradiant are the weights on |S> and |D>, and jpjm is
-    <J+J->, which J- = sqrt((e - lo)(N - lo - e + 1)) weighs per rung.
-    """
-    nn = block.params.n_atoms
-    psi10, psi01 = single_excitation_pair(block, amps)
-    s, d = block.rung_one(amps)
     lowered = (block.rungs - block.ladder) * (nn - block.ladder - block.rungs + 1)
-    return {
-        "p_control": np.abs(psi10) ** 2,
-        "p_single_offcontrol": np.abs(psi01) ** 2,
-        "p_symmetric": np.abs(s) ** 2,
-        "p_subradiant": np.abs(d) ** 2,
-        "jpjm": (np.abs(amps) ** 2 * lowered).sum(-1),
-        "norm_error": np.abs(np.linalg.norm(amps, axis=-1) - 1.0),
-    }
+    return (np.abs(amps) ** 2 * lowered).sum(-1)
+
+
+def readouts(block: Block, amps: np.ndarray) -> np.ndarray:
+    """TRAJECTORY_COLUMNS[1:] of amplitudes of shape (..., dim), along a new last axis.
+
+    p_symmetric and p_subradiant are the weights on |S> and |D>.
+    """
+    s, d = block.rung_one(amps)
+    weights = [np.abs(x) ** 2 for x in (*single_excitation_pair(block.params.n_atoms, s, d), s, d)]
+    norm_error = np.abs(np.linalg.norm(amps, axis=-1) - 1.0)
+    return np.stack([*weights, _jpjm(block, amps), norm_error], axis=-1)
 
 
 def default_trajectory_times(params: SystemParams, points: int = 400) -> np.ndarray:

@@ -26,14 +26,16 @@ from . import __version__
 from .dynamics import (  # noqa: F401
     TRAJECTORY_COLUMNS,
     Block,
+    _jpjm,
     compile_propagator,
+    default_trajectory_times,
     evolve,
     evolve_grid,
     readouts,
 )
 from .fields import FieldSpec, TruncationError
 from .model import FrozenRecord, SystemParams
-from .perturb import closed_form_corrections, slow_model_error, validity_grade, validity_parameter
+from .perturb import _deviation, closed_form_corrections, validity_grade, validity_parameter
 
 TRUNCATION_WEIGHT_LIMIT = 1e-8
 
@@ -82,7 +84,7 @@ def phase_gate(block: Block, psi: np.ndarray, phi: float) -> np.ndarray:
     On a rung with amplitudes x that part is u (u . x), where u is
     `Block.control_share` there.
     """
-    u = block.control_share()
+    u = block.control_share
     same_rung = block.rungs[:, None] == block.rungs
     rotation = complex(math.cos(-phi), math.sin(-phi))  # exp(-i phi), as cmath.exp gives it
     return psi + (rotation - 1.0) * u * ((same_rung * u) @ psi)
@@ -211,7 +213,7 @@ def _start(params: SystemParams, n: int, c: int, n_max: int) -> tuple[Block, np.
     control atom excited, rung 0 of the symmetric ladder without.
     """
     block = compile_propagator(params, n + c, n_max)
-    return block, np.where(block.rungs == c, block.control_share() if c else 1.0, 0.0)
+    return block, np.where(block.rungs == c, block.control_share if c else 1.0, 0.0)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -227,16 +229,24 @@ def component_outcome(
     process: callers pass min(n_max, n + c) as the cutoff, since block M is
     the same for every n_max >= M: none of its rungs holds more than M photons.
     """
-    block, initial = _start(params, n, c, n_max)
-    # one-time grid rather than evolve: perfbench's tracer sizes every
-    # dynamics.evolve call by a `state.block_amps` argument
-    (at_t_m,) = evolve_grid(block, initial, [t_m])
-    final = phase_gate(block, at_t_m[0], phi)
-    values = readouts(block, final)
-    pt_error = None
-    if c:
-        pt_error = slow_model_error(block, initial, np.linspace(0.0, t_m, pt_times))
-    return float(values["p_subradiant"]), float(values["jpjm"]), pt_error, len(block.rungs)
+    return _outcome(*_start(params, n, c, n_max), c, t_m, phi, pt_times)
+
+
+def _outcome(block: Block, initial: np.ndarray, c: int, t_m: float, phi: float, pt_times: int):
+    """`component_outcome` on a compiled block: one V' psi and one phase-rounding
+    scan serve the state at t_m and the slow-model grid, which lies within |t_m|."""
+    grid = np.linspace(0.0, t_m, pt_times) if c else ()
+    states = evolve_grid(block, initial, [t_m], grid)
+    final = phase_gate(block, next(states)[0], phi)
+    pt_error = _deviation(block, states, grid) if c else None
+    fid = np.abs(block.rung_one(final)[1]) ** 2
+    return float(fid), float(_jpjm(block, final)), pt_error, len(block.rungs)
+
+
+def _rows(block: Block, initial: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """`readouts` along exp(-iHt) from `initial`, one row per time."""
+    rows = [readouts(block, amps) for amps in evolve_grid(block, initial, times)]
+    return np.concatenate([np.empty((0, len(TRAJECTORY_COLUMNS) - 1)), *rows])
 
 
 def trajectory(
@@ -251,14 +261,7 @@ def trajectory(
     times = np.asarray(times, dtype=float)
     n_max, components = fock_components(params, field, options)
     c = 1 if options.excite_control else 0
-    total = 0.0
-    for w, n in components:
-        block, initial = _start(params, n, c, n_max)
-        values = [np.empty((0, len(TRAJECTORY_COLUMNS) - 1))]
-        for amps in evolve_grid(block, initial, times):
-            cols = readouts(block, amps)
-            values.append(np.column_stack([cols[k] for k in TRAJECTORY_COLUMNS[1:]]))
-        total = total + w * np.concatenate(values)
+    total = sum(w * _rows(*_start(params, n, c, n_max), times) for w, n in components)
     return np.column_stack([times, total])
 
 
@@ -276,21 +279,39 @@ def run(
     even outside the dispersive regime; the validity grade in the report
     flags them.
     """
-    options = options or ProtocolOptions()
+    return _run(params, field, options or ProtocolOptions())[0]
+
+
+def _run(
+    params: SystemParams, field: FieldSpec, options: ProtocolOptions, points: int | None = None
+) -> tuple[ProtocolReport, np.ndarray | None]:
+    """`run`'s report and, given a number of points, the `trajectory` table over
+    default_trajectory_times(params, points), from one compile of each block.  A
+    refused trajectory is raised after the report is built, as calling `run`, then
+    `trajectory` would raise it."""
     plan_ = plan(params, branch=options.tm_branch)
     phi = plan_.phi if options.phi_override is None else options.phi_override
+    gate = (plan_.t_m, phi, options.pt_times)
 
     validity = validity_parameter(params, field.mean_n)
 
     n_max, components = fock_components(params, field, options)
     c = 1 if options.excite_control else 0
-    fid_sum = emission = pt_sum = pt_weight = 0.0
+    times = None if points is None else default_trajectory_times(params, points)
+    fid_sum = emission = pt_sum = pt_weight = rows = 0.0
+    refusals = []
     max_block_dim = 0
     mixture = []
     for w, n in components:
-        fid, emission_n, pt_n, dim = component_outcome(
-            params, n, c, min(n_max, n + c), plan_.t_m, phi, options.pt_times
-        )
+        if times is None:
+            fid, emission_n, pt_n, dim = component_outcome(params, n, c, min(n_max, n + c), *gate)
+        else:
+            block, initial = _start(params, n, c, n_max)
+            fid, emission_n, pt_n, dim = _outcome(block, initial, c, *gate)
+            try:
+                rows = rows + w * _rows(block, initial, times)
+            except ValueError as exc:
+                refusals.append(exc)
         fid_sum += w * fid
         emission += w * emission_n
         if options.excite_control:
@@ -312,7 +333,7 @@ def run(
     sector_n = int(round(field.mean_n)) + 1  # dominant degenerate level
     corrections = closed_form_corrections(params, sector_n)
 
-    return ProtocolReport(
+    report = ProtocolReport(
         n_atoms=params.n_atoms,
         g_rad_s=params.g,
         g_over_2pi_hz=params.g / (2.0 * math.pi),
@@ -338,3 +359,6 @@ def run(
         },
         meta=meta,
     )
+    if refusals:
+        raise refusals[0]
+    return report, None if times is None else np.column_stack([times, rows])

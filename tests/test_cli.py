@@ -747,6 +747,33 @@ def test_thermal_mean_n_sweep_compiles_each_fock_block_once(tmp_path, monkeypatc
     assert warm == (tmp_path / "cold" / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["protocol", "evolve"])
+def test_each_fock_component_compiles_once(tmp_path, monkeypatch, command):
+    # protocol builds its report and its trajectory rows on one compile of each block
+    cfg = write_config(
+        tmp_path, n_atoms=5, delta_over_g=60.0, field={"kind": "thermal", "mean_n": 0.6},
+        evolve={"points": 57},
+    )
+    config = RunConfig.from_json(json.loads(cfg.read_text()))
+    params = config.params()
+    _, components = subrad.protocol.fock_components(params, config.field, config.options)
+    compile_propagator = subrad.protocol.compile_propagator
+    blocks = []
+
+    def counted(*args):
+        blocks.append(args[1])
+        return compile_propagator(*args)
+
+    monkeypatch.setattr(subrad.protocol, "compile_propagator", counted)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(components) > 5 and blocks == [n + 1 for _, n in components]
+    # the rows written are trajectory()'s, bit for bit
+    times = subrad.dynamics.default_trajectory_times(params, config.points)
+    table = subrad.protocol.trajectory(params, config.field, config.options, times)
+    written = np.loadtxt(tmp_path / "o" / "trajectory.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(written, table)
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -21,9 +21,9 @@ from product.model import collective_operator
 from product.perturb import effective_product_vector
 from product.protocol import dfs_weight, phase_gate
 import subrad.protocol
-from subrad import dynamics
+from subrad import dynamics, perturb
 from subrad.cli import RunConfig
-from subrad.fields import FieldSpec, TruncationError
+from subrad.fields import FIELD_KINDS, FieldSpec, TruncationError
 from subrad.model import FrozenRecord, SystemParams
 from subrad.perturb import closed_form_corrections
 from subrad.protocol import (
@@ -34,6 +34,7 @@ from subrad.protocol import (
     component_outcome,
     plan,
     run,
+    trajectory,
 )
 
 G = 2 * math.pi * 24e3
@@ -567,3 +568,60 @@ def test_clipped_last_component_same_with_cold_and_warm_cache():
     warm = run(params, field, options)
     assert component_outcome.cache_info().currsize == 14
     assert warm.to_dict() == cold.to_dict()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_atoms=st.integers(2, 40),
+    ratio=st.floats(10.0, 3000.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    n=st.integers(0, 12),
+    c=st.sampled_from([0, 1]),
+    extra=st.integers(0, 3),
+    branch=st.integers(0, 1),
+    pt_times=st.integers(1, 120),
+)
+def test_component_outcome_is_what_the_public_steps_give(
+    n_atoms, ratio, sign, n, c, extra, branch, pt_times
+):
+    # one V' psi and one phase scan serve t_m and the slow-model grid; a cutoff n_max = n
+    # clips the block n + 1 of an excited control atom
+    params = ratio_params(n_atoms, sign * ratio)
+    t_m, phi = plan(params, branch)
+    n_max = n + extra
+    block = dynamics.compile_propagator(params, n + c, n_max)
+    psi = np.where(block.rungs == c, block.control_share if c else 1.0, 0.0)
+    (at_t_m,) = dynamics.evolve_grid(block, psi, [t_m])
+    gated = subrad.protocol.phase_gate(block, at_t_m[0], phi)
+    cols = dict(zip(dynamics.TRAJECTORY_COLUMNS[1:], dynamics.readouts(block, gated)))
+    pt_error = perturb.slow_model_error(block, psi, np.linspace(0.0, t_m, pt_times)) if c else None
+    expected = (float(cols["p_subradiant"]), float(cols["jpjm"]), pt_error, len(block.rungs))
+    assert component_outcome.__wrapped__(params, n, c, n_max, t_m, phi, pt_times) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_atoms=st.integers(2, 12),
+    ratio=st.floats(20.0, 1000.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    kind=st.sampled_from(FIELD_KINDS),
+    mean_n=st.floats(0.0, 1.5),
+    excite=st.booleans(),
+    branch=st.integers(0, 1),
+    points=st.integers(1, 200),
+)
+def test_the_protocol_pass_gives_run_and_trajectory(
+    n_atoms, ratio, sign, kind, mean_n, excite, branch, points
+):
+    # the protocol command's single pass over the components against the two public calls
+    params = ratio_params(n_atoms, sign * ratio)
+    field = {
+        "fock": FieldSpec.fock(round(mean_n)),
+        "coherent": FieldSpec.coherent(math.sqrt(mean_n)),
+        "thermal": FieldSpec.thermal(mean_n),
+    }[kind]
+    options = ProtocolOptions(excite_control=excite, tm_branch=branch)
+    report, table = subrad.protocol._run(params, field, options, points)
+    assert report.to_dict() == run(params, field, options).to_dict()
+    times = dynamics.default_trajectory_times(params, points)
+    assert np.array_equal(table, trajectory(params, field, options, times))
