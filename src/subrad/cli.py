@@ -510,7 +510,18 @@ def _plain_args(argv: list) -> dict | None:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv is None:
+        # Called as the program (the subrad console script, python -m
+        # subrad.cli): move everything alive now, numpy included, to the
+        # permanent generation, so that no collection during the run and
+        # none at interpreter exit walks those objects again.  A caller that
+        # passes argv keeps its own heap collectable.
+        import gc  # loaded only here, so that importing subrad.cli loads no module more
+
+        gc.freeze()
+        argv = sys.argv[1:]
+    else:
+        argv = list(argv)
     args = _plain_args(argv)
     if args is None:
         parser = _build_parser()

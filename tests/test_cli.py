@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import itertools
 import json
@@ -853,6 +854,15 @@ def test_jobs_only_on_sweep_exit_1(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+def _run_as_program(code, argv):
+    """Run `code` in a fresh interpreter whose sys.argv[1:] is `argv`."""
+    src = str(Path(subrad.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
+
+
 def test_import_leaves_the_pool_and_the_product_basis_unloaded(tmp_path):
     # A sweep runs its points in the CLI process, --jobs or not; the 2^N
     # product basis is a test oracle, not part of the package.  A call spelled
@@ -867,18 +877,60 @@ def test_import_leaves_the_pool_and_the_product_basis_unloaded(tmp_path):
         "'argparse', 'gettext', 'locale', 'copy', 'cmath'}; "
         "print(sorted(unwanted & set(sys.modules))); sys.exit(code)"
     )
-    src = str(Path(subrad.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     for command, jobs in (("sweep", ["--jobs", "2"]), ("protocol", []), ("spectrum", [])):
         # started as the subrad console script starts it: main() reads sys.argv
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / command), *jobs]
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
-        )
+        proc = _run_as_program(code, argv)
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]", command
     assert len(read_csv(tmp_path / "sweep" / "sweep.csv")) == 2
     assert (tmp_path / "protocol" / "report.json").exists()
     assert len(read_csv(tmp_path / "spectrum" / "spectrum.csv")) == 3
+
+
+def test_only_the_program_path_freezes_the_heap(tmp_path):
+    # main() reading sys.argv owns the process and freezes its start-up heap;
+    # the import does not, and neither does main(argv), whose caller's cyclic
+    # garbage must stay collectable.
+    cfg = write_config(tmp_path, n_atoms=2, delta_over_g=100.0)
+    code = (
+        "import gc, sys; import subrad.cli; frozen = gc.get_freeze_count(); "
+        "code = subrad.cli.main(); "
+        "print(frozen, gc.get_freeze_count() > 0, gc.isenabled()); sys.exit(code)"
+    )
+    proc = _run_as_program(code, ["protocol", "--config", str(cfg), "--out", str(tmp_path / "p")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 True True"
+    before = gc.get_freeze_count()
+    assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "in")]) == 0
+    assert gc.get_freeze_count() == before and gc.isenabled()
+
+
+def test_the_program_path_writes_what_an_in_process_call_writes(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        n_atoms=3,
+        field={"kind": "thermal", "mean_n": 0.2},
+        sweep={"axis": "delta_ratio", "values": [40, 80]},
+        spectrum={"block": 2},
+        evolve={"points": 16},
+    )
+    invalid = write_config(tmp_path, name="invalid.json", field={"kind": "fock", "n": 9})
+    refused = write_config(tmp_path, name="refused.json", allow_invalid="no")
+    code = "import sys; from subrad.cli import main; sys.exit(main())"
+    cases = [(command, cfg, 0) for command in ("protocol", "sweep", "spectrum", "evolve")]
+    cases += [("protocol", invalid, 2), ("protocol", refused, 1)]
+    for command, config, expected in cases:
+        name = f"{command}-{config.stem}"
+        program, in_process = tmp_path / "program" / name, tmp_path / "in-process" / name
+        proc = _run_as_program(code, [command, "--config", str(config), "--out", str(program)])
+        assert main([command, "--config", str(config), "--out", str(in_process)]) == expected
+        assert (proc.returncode, proc.stderr) == (expected, capsys.readouterr().err), program
+        written = sorted(p.name for p in program.glob("*"))
+        assert written == sorted(p.name for p in in_process.glob("*"))
+        assert bool(written) == (expected == 0), program
+        for file in written:
+            assert (program / file).read_bytes() == (in_process / file).read_bytes(), file
 
 
 def test_argparse_only_spellings_give_the_canonical_outputs(tmp_path, capsys):
