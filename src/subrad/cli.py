@@ -258,7 +258,8 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
         )
         return 2
 
-    report, table = _run(params, config.field, config.options, config.points)
+    times = default_trajectory_times(params, config.points)
+    report, table = _run(params, config.field, config.options, times)
     out_dir.mkdir(parents=True, exist_ok=True)
     serialize.dump_json(
         {"config": config.raw, "report": report.to_dict()}, out_dir / "report.json"

@@ -152,38 +152,36 @@ def compile_propagator(params: SystemParams, m_total: int, n_max: int) -> Block:
     )
 
 
-def evolve_grid(block: Block, psi: np.ndarray, *grids) -> Iterator[np.ndarray]:
-    """exp(-iHt) psi at each grid's times in turn: V (exp(-i w t') * (V' psi)) exp(-i offset t).
+def evolve_grid(block: Block, psi: np.ndarray, times) -> Iterator[np.ndarray]:
+    """exp(-iHt) psi at every time of a grid: V (exp(-i w t') * (V' psi)) exp(-i offset t).
 
-    Each grid is cut into the fewest products of at most AMPLITUDE_BUDGET
+    The grid is cut into the fewest products of at most AMPLITUDE_BUDGET
     amplitudes (one time each where a state alone exceeds it) whose lengths
     differ by at most one, so that no product holds a single time where the
-    budget holds three; yields arrays of shape (product length, dim).  One
-    V' psi serves every grid, and before the first product the grids are
-    refused at their first time whose phase rounding, about eps |w| |t|,
-    exceeds PHASE_TOL.  Every evolved state must stay normalized.
+    budget holds three; yields arrays of shape (product length, dim).  Before
+    the first product, the grid is refused at its first time whose phase
+    rounding, about eps |w| |t|, exceeds PHASE_TOL.  Every evolved state must
+    stay normalized.
     """
     v = block.eigenvectors
     coeffs = v.T @ psi
-    grids = [np.asarray(times, dtype=float) for times in grids]
-    times = np.concatenate(grids)
+    times = np.asarray(times, dtype=float)
     rounding = np.finfo(float).eps * np.max(np.abs(block.eigenvalues), initial=0.0) * np.abs(times)
     # a time of inf leaves no state at all, which the norm check names
     for i in np.flatnonzero((rounding > PHASE_TOL) & (rounding < math.inf))[:1]:
         msg = f"phase rounding {rounding[i]:.3e} rad at t = {times[i]:.3e} s exceeds {PHASE_TOL}"
         raise ValueError(msg)
     step = max(1, AMPLITUDE_BUDGET // len(coeffs))
-    for times in grids:
-        count = -(-len(times) // step)
-        for k in range(count):
-            t = times[k * len(times) // count : (k + 1) * len(times) // count, None]
-            amps = (np.exp(-1j * block.eigenvalues * t) * coeffs) @ v.T
-            amps *= np.exp(-1j * block.offset * t)
-            norms = np.linalg.norm(amps, axis=-1)
-            off = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN norms fail
-            if np.any(off):
-                raise ValueError(f"state norm {norms[off][0]} deviates from 1 beyond {NORM_TOL}")
-            yield amps
+    count = -(-len(times) // step)
+    for k in range(count):
+        t = times[k * len(times) // count : (k + 1) * len(times) // count, None]
+        amps = (np.exp(-1j * block.eigenvalues * t) * coeffs) @ v.T
+        amps *= np.exp(-1j * block.offset * t)
+        norms = np.linalg.norm(amps, axis=-1)
+        off = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN norms fail
+        if np.any(off):
+            raise ValueError(f"state norm {norms[off][0]} deviates from 1 beyond {NORM_TOL}")
+        yield amps
 
 
 def evolve(block: Block, psi: np.ndarray, t: float) -> np.ndarray:

@@ -123,17 +123,13 @@ def slow_model_error(block: Block, psi: np.ndarray, times) -> float:
     returned.  Every non-control atom carries psi01 / sqrt(N-1), so two
     columns suffice.
     """
-    return _deviation(block, evolve_grid(block, psi, times), times)
-
-
-def _deviation(block: Block, grid, times) -> float:
-    """slow_model_error of the states at `times`, which the products of `grid` hold in turn."""
     nn = block.params.n_atoms
     if nn < 2:
         raise ValueError("comparison needs at least two atoms")
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("comparison needs at least one time")
+    grid = evolve_grid(block, psi, times)
     s, d = (np.concatenate(column) for column in zip(*(block.rung_one(a) for a in grid)))
     control, other = single_excitation_pair(nn, s, d)
     other = other / sqrt(nn - 1)

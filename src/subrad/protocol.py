@@ -28,14 +28,13 @@ from .dynamics import (  # noqa: F401
     Block,
     _jpjm,
     compile_propagator,
-    default_trajectory_times,
     evolve,
     evolve_grid,
     readouts,
 )
 from .fields import FieldSpec, TruncationError
 from .model import FrozenRecord, SystemParams
-from .perturb import _deviation, closed_form_corrections, validity_grade, validity_parameter
+from .perturb import closed_form_corrections, slow_model_error, validity_grade, validity_parameter
 
 TRUNCATION_WEIGHT_LIMIT = 1e-8
 
@@ -233,12 +232,12 @@ def component_outcome(
 
 
 def _outcome(block: Block, initial: np.ndarray, c: int, t_m: float, phi: float, pt_times: int):
-    """`component_outcome` on a compiled block: one V' psi and one phase-rounding
-    scan serve the state at t_m and the slow-model grid, which lies within |t_m|."""
-    grid = np.linspace(0.0, t_m, pt_times) if c else ()
-    states = evolve_grid(block, initial, [t_m], grid)
-    final = phase_gate(block, next(states)[0], phi)
-    pt_error = _deviation(block, states, grid) if c else None
+    """`component_outcome` on a compiled block: the gated state at t_m gives the
+    fidelity and <J+J->, and `slow_model_error` the slow-model error."""
+    # evolve_grid, not evolve: perfbench's measure of evolve binds a `state` that evolve lacks
+    (at_t_m,) = evolve_grid(block, initial, [t_m])
+    final = phase_gate(block, at_t_m[0], phi)
+    pt_error = slow_model_error(block, initial, np.linspace(0.0, t_m, pt_times)) if c else None
     fid = np.abs(block.rung_one(final)[1]) ** 2
     return float(fid), float(_jpjm(block, final)), pt_error, len(block.rungs)
 
@@ -283,12 +282,11 @@ def run(
 
 
 def _run(
-    params: SystemParams, field: FieldSpec, options: ProtocolOptions, points: int | None = None
+    params: SystemParams, field: FieldSpec, options: ProtocolOptions, times=None
 ) -> tuple[ProtocolReport, np.ndarray | None]:
-    """`run`'s report and, given a number of points, the `trajectory` table over
-    default_trajectory_times(params, points), from one compile of each block.  A
-    refused trajectory is raised after the report is built, as calling `run`, then
-    `trajectory` would raise it."""
+    """`run`'s report and, given a grid of times, the `trajectory` table over it,
+    from one compile of each block.  A refused trajectory is raised after the
+    report is built, as calling `run`, then `trajectory` would raise it."""
     plan_ = plan(params, branch=options.tm_branch)
     phi = plan_.phi if options.phi_override is None else options.phi_override
     gate = (plan_.t_m, phi, options.pt_times)
@@ -297,38 +295,33 @@ def _run(
 
     n_max, components = fock_components(params, field, options)
     c = 1 if options.excite_control else 0
-    times = None if points is None else default_trajectory_times(params, points)
-    fid_sum = emission = pt_sum = pt_weight = rows = 0.0
+    rows = 0.0
     refusals = []
-    max_block_dim = 0
-    mixture = []
+    outcomes = []  # (p_n, n, fidelity, <J+J->, slow-model error, block dimension)
     for w, n in components:
         if times is None:
-            fid, emission_n, pt_n, dim = component_outcome(params, n, c, min(n_max, n + c), *gate)
-        else:
-            block, initial = _start(params, n, c, n_max)
-            fid, emission_n, pt_n, dim = _outcome(block, initial, c, *gate)
-            try:
-                rows = rows + w * _rows(block, initial, times)
-            except ValueError as exc:
-                refusals.append(exc)
-        fid_sum += w * fid
-        emission += w * emission_n
-        if options.excite_control:
-            pt_sum += w * pt_n
-            pt_weight += w
-        max_block_dim = max(max_block_dim, dim)
-        mixture.append({"weight": w, "n": n, "fidelity_subradiant": fid})
+            outcomes.append((w, n, *component_outcome(params, n, c, min(n_max, n + c), *gate)))
+            continue
+        block, initial = _start(params, n, c, n_max)
+        outcomes.append((w, n, *_outcome(block, initial, c, *gate)))
+        try:
+            rows = rows + w * _rows(block, initial, times)
+        except ValueError as exc:
+            refusals.append(exc)
+    fid_sum = sum(w * fid for w, _, fid, *_ in outcomes)
+    weight = sum(w for w, _ in components)
+    pt_error = sum(w * pt for w, *_, pt, _ in outcomes) / weight if c else None
 
     meta = {
         "package_version": __version__,
         "n_max": n_max,
-        "max_block_dim": max_block_dim,
-        "mixture_components": mixture,
+        "max_block_dim": max(dim for *_, dim in outcomes),
+        "mixture_components": [
+            {"weight": w, "n": n, "fidelity_subradiant": fid} for w, n, fid, *_ in outcomes
+        ],
     }
     if options.seed is not None:
         meta["seed"] = options.seed
-    pt_error = pt_sum / pt_weight if pt_weight else None
 
     sector_n = int(round(field.mean_n)) + 1  # dominant degenerate level
     corrections = closed_form_corrections(params, sector_n)
@@ -347,7 +340,7 @@ def _run(
         field=field.describe(),
         fidelity_subradiant=fid_sum,
         dfs_weight=fid_sum,  # the target is the only dark state the protocol reaches
-        emission_expectation=emission,
+        emission_expectation=sum(w * jpjm for w, _, _, jpjm, *_ in outcomes),
         validity=validity,
         validity_grade=validity_grade(validity),
         pt_coefficient_error=pt_error,

@@ -621,7 +621,36 @@ def test_the_protocol_pass_gives_run_and_trajectory(
         "thermal": FieldSpec.thermal(mean_n),
     }[kind]
     options = ProtocolOptions(excite_control=excite, tm_branch=branch)
-    report, table = subrad.protocol._run(params, field, options, points)
-    assert report.to_dict() == run(params, field, options).to_dict()
     times = dynamics.default_trajectory_times(params, points)
+    report, table = subrad.protocol._run(params, field, options, times)
+    assert report.to_dict() == run(params, field, options).to_dict()
     assert np.array_equal(table, trajectory(params, field, options, times))
+
+
+def test_the_reported_slow_model_error_comes_from_slow_model_error(monkeypatch):
+    # the public function, which a tracer can wrap, computes every component's error
+    calls = []
+    original = subrad.protocol.slow_model_error
+
+    def counted(block, psi, times):
+        calls.append(len(times))
+        return original(block, psi, times)
+
+    monkeypatch.setattr(subrad.protocol, "slow_model_error", counted)
+    params = ratio_params(5)
+    field = FieldSpec.thermal(0.4)
+    options = ProtocolOptions(pt_times=7)
+    _, components = subrad.protocol.fock_components(params, field, options)
+    first = run(params, field, options)
+    assert run(params, field, options).to_dict() == first.to_dict()  # the memo serves the second
+    assert calls == [7] * len(components) and len(components) > 1
+    calls.clear()
+    times = dynamics.default_trajectory_times(params, 20)
+    report, _ = subrad.protocol._run(params, field, options, times)
+    assert calls == [7] * len(components)
+    assert report.pt_coefficient_error == first.pt_coefficient_error > 0.0
+    calls.clear()
+    dark = options._replace(excite_control=False)
+    assert run(params, field, dark).pt_coefficient_error is None
+    subrad.protocol._run(params, field, dark, times)
+    assert calls == []
