@@ -16,7 +16,6 @@ largest n* with 1 - F_n < 1/N for every n <= n*) and n*_0.99 (the largest n*
 with F_n >= 0.99 for every n <= n*); -1 means that n = 0 already fails.
 """
 
-import argparse
 import math
 import sys
 
@@ -28,6 +27,8 @@ from subrad.perturb import validity_parameter
 from subrad.protocol import plan
 
 TWO_PI = 2.0 * math.pi
+G_HZ = 10_000.0  # g/2pi; at fixed delta/g every printed column is independent of g
+LIMIT = 200  # largest photon number tried
 # (N, delta/g): the rows of the ROADMAP table, then larger ensembles
 ROWS = (
     (10, 30.0), (10, 100.0), (50, 30.0), (50, 100.0),
@@ -51,11 +52,11 @@ def fidelity(a: complex, b: complex, phi: float) -> float:
     return abs(a + complex(math.cos(-phi), math.sin(-phi)) * b) ** 2
 
 
-def tolerance(params: SystemParams, limit: int) -> tuple[int | None, int | None]:
-    """n*_beat and n*_0.99 of the slow plan; None where every n <= limit passes."""
+def tolerance(params: SystemParams) -> tuple[int | None, int | None]:
+    """n*_beat and n*_0.99 of the slow plan; None where every n <= LIMIT passes."""
     t_m, phi = plan(params)
     beat = good = None
-    for n in range(limit + 1):
+    for n in range(LIMIT + 1):
         f = fidelity(*rung_one_pair(params, n, t_m), phi)
         if beat is None and not 1.0 - f < 1.0 / params.n_atoms:
             beat = n - 1
@@ -67,18 +68,12 @@ def tolerance(params: SystemParams, limit: int) -> tuple[int | None, int | None]
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--g-hz", type=float, default=10000.0, help="g/2pi in Hz")
-    parser.add_argument("--limit", type=int, default=200, help="largest photon number tried")
-    args = parser.parse_args()
-
-    print(f"slow plan, g/2pi={args.g_hz / 1e3:g} kHz, atomic frame")
+    print(f"slow plan, g/2pi={G_HZ / 1e3:g} kHz, atomic frame")
     print(f"{'N':>7} {'delta/g':>8} {'v':>7} {'n*_beat':>8} {'n*_0.99':>8}")
     for nn, ratio in ROWS:
-        params = SystemParams.from_detuning_ratio(nn, TWO_PI * args.g_hz, ratio)
+        params = SystemParams.from_detuning_ratio(nn, TWO_PI * G_HZ, ratio)
         v = validity_parameter(params, 0.0)
-        found = tolerance(params, args.limit)
-        beat, good = (f">{args.limit}" if x is None else str(x) for x in found)
+        beat, good = (f">{LIMIT}" if x is None else str(x) for x in tolerance(params))
         print(f"{nn:>7} {ratio:>8g} {v:>7.3f} {beat:>8} {good:>8}")
     return 0
 

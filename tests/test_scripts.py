@@ -54,7 +54,7 @@ def test_detuning_sweep(tmp_path):
 
 
 def test_photon_tolerance(tmp_path):
-    lines = run_script("photon_tolerance.py", "--limit", "50", cwd=tmp_path)
+    lines = run_script("photon_tolerance.py", cwd=tmp_path)
     assert lines[0] == "slow plan, g/2pi=10 kHz, atomic frame"
     assert lines[1].split() == ["N", "delta/g", "v", "n*_beat", "n*_0.99"]
     rows = [line.split() for line in lines[2:]]
@@ -74,7 +74,7 @@ def test_photon_tolerance_pair_gives_the_fidelity_of_run():
     # F_n = |a_n + exp(-i phi) b_n|^2 from the rung-1 pair is what run() reports for Fock n
     script = runpy.run_path(str(SCRIPTS / "photon_tolerance.py"))
     for nn, ratio in script["ROWS"][:8]:
-        params = SystemParams.from_detuning_ratio(nn, 2 * math.pi * 1e4, ratio)
+        params = SystemParams.from_detuning_ratio(nn, 2 * math.pi * script["G_HZ"], ratio)
         t_m, phi = plan(params)
         for n in range(4):
             pair = script["rung_one_pair"](params, n, t_m)
