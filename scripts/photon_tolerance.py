@@ -54,10 +54,10 @@ def fidelity(a: complex, b: complex, phi: float) -> float:
 
 def tolerance(params: SystemParams) -> tuple[int | None, int | None]:
     """n*_beat and n*_0.99 of the slow plan; None where every n <= LIMIT passes."""
-    t_m, phi = plan(params)
+    slow = plan(params)
     beat = good = None
     for n in range(LIMIT + 1):
-        f = fidelity(*rung_one_pair(params, n, t_m), phi)
+        f = fidelity(*rung_one_pair(params, n, slow.t_m), slow.phi)
         if beat is None and not 1.0 - f < 1.0 / params.n_atoms:
             beat = n - 1
         if good is None and not f >= 0.99:

@@ -17,7 +17,6 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .dynamics import (  # noqa: F401
     spectrum,
 )
 from .fields import FIELD_KINDS, FieldSpec
-from .model import SystemParams
+from .model import FrozenRecord, SystemParams
 from .perturb import closed_form_corrections, validity_parameter, validity_grade
 from .protocol import NoSubradiantSectorError, ProtocolOptions, _run, run, trajectory
 
@@ -50,7 +49,7 @@ TOP_KEYS = frozenset(
     }
 )
 SECTION_KEYS = {
-    "options": frozenset(ProtocolOptions._fields) - {"seed"},  # seed is a top-level key
+    "options": frozenset(ProtocolOptions.__slots__) - {"seed"},  # seed is a top-level key
     "sweep": frozenset({"axis", "values"}),
     "spectrum": frozenset({"photons", "block", "h0_only"}),
     "evolve": frozenset({"points", "t_final_seconds"}),
@@ -150,24 +149,20 @@ def _sweep(obj: dict, ratio: float | None, field: FieldSpec) -> tuple[str | None
     return axis, values
 
 
-class RunConfig(NamedTuple):
+class RunConfig(FrozenRecord):
     """Parsed run configuration; see README for the JSON schema."""
 
-    n_atoms: int
-    g_over_2pi_hz: float
-    delta_over_g: float | None
-    omega_a_over_2pi_hz: float | None
-    omega_c_over_2pi_hz: float | None
-    field: FieldSpec
-    options: ProtocolOptions
-    allow_invalid: bool
-    points: int  # trajectory samples for protocol and evolve
-    t_final_seconds: float | None  # evolve span; None = one slow period
-    spectrum_block: int
-    h0_only: bool  # spectrum of the free Hamiltonian alone
-    sweep_axis: str | None  # None when the sweep section has no axis
-    sweep_values: tuple[float, ...]
-    raw: dict
+    __slots__ = (
+        "n_atoms", "g_over_2pi_hz", "delta_over_g", "omega_a_over_2pi_hz",
+        "omega_c_over_2pi_hz", "field", "options", "allow_invalid",
+        "points",  # trajectory samples for protocol and evolve
+        "t_final_seconds",  # evolve span; None = one slow period
+        "spectrum_block",
+        "h0_only",  # spectrum of the free Hamiltonian alone
+        "sweep_axis",  # None when the sweep section has no axis
+        "sweep_values",  # a tuple of floats
+        "raw",  # the JSON config, echoed into report.json
+    )
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
@@ -197,8 +192,9 @@ class RunConfig(NamedTuple):
         values["field"] = _field(obj.get("field", {"kind": "fock", "n": 0}))
         seed = obj.get("seed")
         options = {"seed": seed if seed is None else _integer(seed, "seed")}
+        defaults = ProtocolOptions()
         for name, parse in OPTION_PARSERS.items():
-            default = ProtocolOptions._field_defaults[name]
+            default = getattr(defaults, name)
             value = sections["options"].get(name, default)
             # an absent option takes its default unparsed, as does null where that is None
             options[name] = value if value is default else parse(value, f"options.{name}")
@@ -321,10 +317,10 @@ def _sweep_point(idx: int, axis: str, value: float, config: RunConfig) -> dict:
     try:
         point = _at(config, axis, value)
         params = point.params()
-        report = run(params, point.field, point.options).to_dict()
+        report = run(params, point.field, point.options)
         ratio = params.delta / params.g if point.delta_over_g is None else point.delta_over_g
         row.update(
-            {key: report[key] for key in SWEEP_COLUMNS if key in report},
+            {key: getattr(report, key) for key in SWEEP_COLUMNS if key in report.__slots__},
             delta_over_g=ratio,
             g_over_2pi_hz=point.g_over_2pi_hz,
             field_kind=point.field.kind,

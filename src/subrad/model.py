@@ -18,7 +18,8 @@ class FrozenRecord:
 
     `__init__` fills every field by name; every other assignment and every
     deletion is refused.  Records compare and hash by the tuple of their
-    field values and print as Name(field=value, ...).
+    field values and print as Name(field=value, ...).  `_replace` builds a
+    changed copy through the subclass's constructor, which checks it.
     """
 
     __slots__ = ()
@@ -32,6 +33,9 @@ class FrozenRecord:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self.__slots__, self._values())), **changes})
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -20,21 +20,18 @@ frequency that drives the protocol and is independent of the photon number.
 from __future__ import annotations
 
 from math import sqrt
-from typing import NamedTuple
 
 import numpy as np
 
 # evolve is imported only for perfbench/selftest.py's tracer check
 from .dynamics import Block, evolve, evolve_grid, single_excitation_pair  # noqa: F401
-from .model import SystemParams
+from .model import FrozenRecord, SystemParams
 
 
-class EffectiveModel(NamedTuple):
+class EffectiveModel(FrozenRecord):
     """Closed-form second-order corrections and the slow rate (rad/s)."""
 
-    delta_e1: float
-    delta_ei: float | None  # absent for a single atom
-    alpha: float
+    __slots__ = ("delta_e1", "delta_ei", "alpha")  # delta_ei is None for a single atom
 
     def as_report(self) -> dict:
         return {

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,11 +46,10 @@ class TruncationRefusal(RuntimeError):
     """Initial state puts non-negligible weight on a clipped block."""
 
 
-class ProtocolPlan(NamedTuple):
+class ProtocolPlan(FrozenRecord):
     """Matching time and control-atom phase for one parameter set."""
 
-    t_m: float  # seconds
-    phi: float  # radians, signed
+    __slots__ = ("t_m", "phi")  # seconds; radians, signed
 
 
 def plan(params: SystemParams, branch: int = 0) -> ProtocolPlan:
@@ -94,15 +92,24 @@ def phase_gate(block: Block, psi: np.ndarray, phi: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class ProtocolOptions(NamedTuple):
-    """Knobs for protocol.run; the defaults reproduce the standard scheme."""
+class ProtocolOptions(FrozenRecord):
+    """Knobs for protocol.run; the defaults reproduce the standard scheme.
 
-    n_max: int | None = None  # Fock cutoff; None selects the conservative rule
-    tm_branch: int = 0
-    phi_override: float | None = None
-    excite_control: bool = True
-    pt_times: int = 101  # grid size for the exact-vs-slow comparison on [0, t_m]
-    seed: int | None = None  # echoed into reports; runs are deterministic
+    n_max is the Fock cutoff (None selects the conservative rule), pt_times
+    the grid size of the exact-vs-slow comparison on [0, t_m], and the seed
+    is only echoed into reports: runs are deterministic.
+    """
+
+    __slots__ = ("n_max", "tm_branch", "phi_override", "excite_control", "pt_times", "seed")
+
+    def __init__(
+        self, n_max: int | None = None, tm_branch: int = 0, phi_override: float | None = None,
+        excite_control: bool = True, pt_times: int = 101, seed: int | None = None,
+    ):
+        super().__init__(
+            n_max=n_max, tm_branch=tm_branch, phi_override=phi_override,
+            excite_control=excite_control, pt_times=pt_times, seed=seed,
+        )
 
 
 class ProtocolReport(FrozenRecord):

@@ -326,7 +326,7 @@ def test_options_take_their_names_and_defaults_from_protocol_options():
     base = {"n_atoms": 3, "g_over_2pi_hz": G_HZ, "delta_over_g": 100.0}
     assert RunConfig.from_json(base).options == ProtocolOptions()
     assert RunConfig.from_json({**base, "options": {}}).options == ProtocolOptions()
-    assert subrad.cli.SECTION_KEYS["options"] == set(ProtocolOptions._fields) - {"seed"}
+    assert subrad.cli.SECTION_KEYS["options"] == set(ProtocolOptions.__slots__) - {"seed"}
 
 
 @pytest.mark.parametrize(

@@ -400,6 +400,34 @@ def test_run_flags_invalid_but_proceeds():
     assert 0.0 <= rep.fidelity_subradiant <= 1.0
 
 
+def test_grades_are_no_fidelity_floor_beyond_branch_one():
+    # the grade reads v alone; 1 - F <~ 4 v^2 holds on branches 0 and 1, not later ones
+    params = ratio_params(2, ratio=27.46)
+    losses = []
+    for branch in range(4):
+        rep = run(params, FieldSpec.fock(26), ProtocolOptions(tm_branch=branch))
+        assert rep.validity == pytest.approx(0.268, abs=5e-4)
+        assert rep.validity_grade == "marginal"
+        losses.append(1.0 - rep.fidelity_subradiant)
+    assert losses[3] == pytest.approx(0.795, abs=5e-4)
+    ratios = [loss / rep.validity**2 for loss in losses]
+    assert ratios == pytest.approx([1.28, 1.11, 7.99, 11.1], abs=5e-3)
+
+
+def test_an_ok_run_can_lose_to_the_excite_only_baseline():
+    # exciting the control atom alone puts (N-1)/N on |D>, so a run helps only where 1 - F < 1/N
+    params = ratio_params(200, ratio=300.0)
+    dark = dynamics.TRAJECTORY_COLUMNS.index("p_subradiant")
+    for n in (0, 1):
+        start = trajectory(params, FieldSpec.fock(n), ProtocolOptions(), [0.0])
+        assert start[0, dark] == pytest.approx(199 / 200, abs=1e-15)
+    vacuum, one_photon = (run(params, FieldSpec.fock(n)) for n in (0, 1))
+    assert vacuum.validity_grade == one_photon.validity_grade == "ok"
+    assert 1.0 - vacuum.fidelity_subradiant == pytest.approx(4.3e-5, abs=5e-7)
+    assert 1.0 - one_photon.fidelity_subradiant == pytest.approx(8.7e-3, abs=5e-5)
+    assert 1.0 - vacuum.fidelity_subradiant < 1 / 200 < 1.0 - one_photon.fidelity_subradiant
+
+
 def test_report_round_trip_and_invariant():
     rep = run(ratio_params(3), FieldSpec.fock(0), ProtocolOptions(seed=11))
     again = ProtocolReport(**rep.to_dict())
@@ -449,10 +477,10 @@ VALUE_TYPES = [
         lambda: dynamics.compile_propagator(ratio_params(3), 2, 4), "rungs", False, [], id="Block"
     ),
     pytest.param(
-        lambda: closed_form_corrections(ratio_params(3), 1), "alpha", False, [], id="EffectiveModel"
+        lambda: closed_form_corrections(ratio_params(3), 1), "alpha", True, [], id="EffectiveModel"
     ),
-    pytest.param(lambda: plan(ratio_params(3)), "phi", False, [], id="ProtocolPlan"),
-    pytest.param(lambda: ProtocolOptions(n_max=9), "n_max", False, [], id="ProtocolOptions"),
+    pytest.param(lambda: plan(ratio_params(3)), "phi", True, [], id="ProtocolPlan"),
+    pytest.param(lambda: ProtocolOptions(n_max=9), "n_max", True, [], id="ProtocolOptions"),
     pytest.param(
         _thermal_report,
         "meta",
@@ -479,6 +507,7 @@ VALUE_TYPES = [
 @pytest.mark.parametrize("make, frozen_field, by_value, refusals", VALUE_TYPES)
 def test_value_type_contract(make, frozen_field, by_value, refusals):
     value = make()
+    assert isinstance(value, FrozenRecord) and not isinstance(value, tuple)
     with pytest.raises(AttributeError):
         setattr(value, frozen_field, getattr(value, frozen_field))
     with pytest.raises(AttributeError):
@@ -525,6 +554,11 @@ def test_frozen_record_fills_its_fields_by_name():
     for fields in ({}, {"left": 1}, {"left": 1, "right": 2, "middle": 3}, {"left": 1, "rite": 2}):
         with pytest.raises(TypeError, match="_Pair takes exactly the fields left, right"):
             _Pair(**fields)
+    assert pair._replace(right=5) == _Pair(left=1, right=5)
+    with pytest.raises(TypeError, match="_Pair takes exactly the fields left, right"):
+        pair._replace(middle=3)
+    with pytest.raises(ValueError, match="coupling must be positive, got -1.0"):
+        ratio_params(3)._replace(g=-1.0)
     report = _thermal_report().to_dict()
     del report["validity"]
     with pytest.raises(TypeError, match="ProtocolReport takes exactly the fields n_atoms, "):
@@ -587,7 +621,8 @@ def test_component_outcome_is_what_the_public_steps_give(
     # one V' psi and one phase scan serve t_m and the slow-model grid; a cutoff n_max = n
     # clips the block n + 1 of an excited control atom
     params = ratio_params(n_atoms, sign * ratio)
-    t_m, phi = plan(params, branch)
+    plan_ = plan(params, branch)
+    t_m, phi = plan_.t_m, plan_.phi
     n_max = n + extra
     block = dynamics.compile_propagator(params, n + c, n_max)
     psi = np.where(block.rungs == c, block.control_share if c else 1.0, 0.0)

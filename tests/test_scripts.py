@@ -75,7 +75,8 @@ def test_photon_tolerance_pair_gives_the_fidelity_of_run():
     script = runpy.run_path(str(SCRIPTS / "photon_tolerance.py"))
     for nn, ratio in script["ROWS"][:8]:
         params = SystemParams.from_detuning_ratio(nn, 2 * math.pi * script["G_HZ"], ratio)
-        t_m, phi = plan(params)
+        plan_ = plan(params)
+        t_m, phi = plan_.t_m, plan_.phi
         for n in range(4):
             pair = script["rung_one_pair"](params, n, t_m)
             expected = run(params, FieldSpec.fock(n)).fidelity_subradiant
