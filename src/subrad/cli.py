@@ -13,8 +13,10 @@ without allow_invalid), 1 anything else, usage errors included.
 
 from __future__ import annotations
 
+import atexit
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -509,16 +511,19 @@ def _plain_args(argv: list) -> dict | None:
 def main(argv=None) -> int:
     if argv is None:
         # Called as the program (the subrad console script, python -m
-        # subrad.cli): move everything alive now, numpy included, to the
-        # permanent generation, so that no collection during the run and
-        # none at interpreter exit walks those objects again.  A caller that
-        # passes argv keeps its own heap collectable.
-        import gc  # loaded only here, so that importing subrad.cli loads no module more
-
-        gc.freeze()
-        argv = sys.argv[1:]
-    else:
-        argv = list(argv)
+        # subrad.cli): run the call, the exit handlers and the flush of
+        # stdout and stderr, then end the process without the interpreter's
+        # teardown, whose collections walk every object numpy and subrad
+        # made.  A caller that passes argv gets the code back.
+        code = main(sys.argv[1:])
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:  # a full disk, a closed pipe: left to the interpreter's exit
+            return code
+        os._exit(code)
+    argv = list(argv)
     args = _plain_args(argv)
     if args is None:
         parser = _build_parser()

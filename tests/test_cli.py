@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import gc
 import io
 import itertools
@@ -854,28 +855,35 @@ def test_jobs_only_on_sweep_exit_1(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
-def _run_as_program(code, argv):
-    """Run `code` in a fresh interpreter whose sys.argv[1:] is `argv`."""
+def _run_as_program(code, argv, **run_args):
+    """Run `code` in a fresh interpreter whose sys.argv[1:] is `argv`.
+
+    `code` is a -c program, or None for `python -m subrad.cli`.  Its stdout
+    is buffered, whatever PYTHONUNBUFFERED says here, so what it prints
+    reaches the pipe only if the exit flushes it.
+    """
     src = str(Path(subrad.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
-    )
+    env.pop("PYTHONUNBUFFERED", None)
+    start = ["-m", "subrad.cli"] if code is None else ["-c", code]
+    run_args = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **run_args}
+    return subprocess.run([sys.executable, *start, *argv], text=True, env=env, **run_args)
 
 
 def test_import_leaves_the_pool_and_the_product_basis_unloaded(tmp_path):
     # A sweep runs its points in the CLI process, --jobs or not; the 2^N
     # product basis is a test oracle, not part of the package.  A call spelled
     # the plain way is parsed without argparse (and the gettext and locale it
-    # loads), and nothing on the run path needs copy or cmath.
+    # loads), and nothing on the run path needs copy or cmath.  main() ends
+    # the process, so the modules are listed by an exit handler.
     cfg = write_config(
         tmp_path, n_atoms=2, delta_over_g=100.0, sweep={"axis": "delta_ratio", "values": [40, 80]}
     )
     code = (
-        "import sys; from subrad.cli import main; code = main(); "
+        "import atexit, sys; from subrad.cli import main; "
         "unwanted = {'concurrent.futures', 'multiprocessing', 'subrad.hilbert', 'dataclasses', "
         "'argparse', 'gettext', 'locale', 'copy', 'cmath'}; "
-        "print(sorted(unwanted & set(sys.modules))); sys.exit(code)"
+        "atexit.register(lambda: print(sorted(unwanted & set(sys.modules)))); sys.exit(main())"
     )
     for command, jobs in (("sweep", ["--jobs", "2"]), ("protocol", []), ("spectrum", [])):
         # started as the subrad console script starts it: main() reads sys.argv
@@ -888,22 +896,42 @@ def test_import_leaves_the_pool_and_the_product_basis_unloaded(tmp_path):
     assert len(read_csv(tmp_path / "spectrum" / "spectrum.csv")) == 3
 
 
-def test_only_the_program_path_freezes_the_heap(tmp_path):
-    # main() reading sys.argv owns the process and freezes its start-up heap;
-    # the import does not, and neither does main(argv), whose caller's cyclic
-    # garbage must stay collectable.
+def test_only_the_program_path_ends_the_process(tmp_path):
+    # main() reading sys.argv owns the process: it runs the exit handlers
+    # registered before it, flushes their output and exits with its own
+    # code, so nothing after it runs.  main(argv) returns its code and leaves
+    # the process and its collector as they were.
     cfg = write_config(tmp_path, n_atoms=2, delta_over_g=100.0)
+    invalid = write_config(tmp_path, name="invalid.json", field={"kind": "fock", "n": 9})
     code = (
-        "import gc, sys; import subrad.cli; frozen = gc.get_freeze_count(); "
-        "code = subrad.cli.main(); "
-        "print(frozen, gc.get_freeze_count() > 0, gc.isenabled()); sys.exit(code)"
+        "import atexit, sys; import subrad.cli; atexit.register(print, 'handler ran'); "
+        "subrad.cli.main(); print('main returned'); sys.exit(99)"
     )
-    proc = _run_as_program(code, ["protocol", "--config", str(cfg), "--out", str(tmp_path / "p")])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "0 True True"
-    before = gc.get_freeze_count()
+    for config, expected in ((cfg, 0), (invalid, 2)):
+        argv = ["protocol", "--config", str(config), "--out", str(tmp_path / config.stem)]
+        proc = _run_as_program(code, argv)
+        assert proc.returncode == expected, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "handler ran", proc.stdout
+        assert "main returned" not in proc.stdout
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "in")]) == 0
-    assert gc.get_freeze_count() == before and gc.isenabled()
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_flush_at_exit_is_reported_as_the_interpreter_reports_it(tmp_path):
+    # With stdout on a full device the buffered summary line cannot be
+    # written: the program path must not end the process over that error,
+    # but leave it to the interpreter's exit, which reports it and exits 120.
+    cfg = write_config(tmp_path, n_atoms=2, delta_over_g=100.0)
+    argv = ["protocol", "--config", str(cfg), "--out", str(tmp_path / "p")]
+    with open("/dev/full", "w") as full:
+        proc = _run_as_program(None, argv, stdout=full)
+    assert proc.returncode == 120, proc.stderr
+    ignored, error = proc.stderr.splitlines()
+    assert ignored.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'"), ignored
+    assert error.startswith(f"OSError: [Errno {errno.ENOSPC}]"), error
+    assert (tmp_path / "p" / "report.json").exists()
 
 
 def test_the_program_path_writes_what_an_in_process_call_writes(tmp_path, capsys):
@@ -917,20 +945,27 @@ def test_the_program_path_writes_what_an_in_process_call_writes(tmp_path, capsys
     )
     invalid = write_config(tmp_path, name="invalid.json", field={"kind": "fock", "n": 9})
     refused = write_config(tmp_path, name="refused.json", allow_invalid="no")
-    code = "import sys; from subrad.cli import main; sys.exit(main())"
+    # the console script's start, and python -m subrad.cli
+    script = "import sys; from subrad.cli import main; sys.exit(main())"
+    starts = {"script": script, "module": None}
     cases = [(command, cfg, 0) for command in ("protocol", "sweep", "spectrum", "evolve")]
     cases += [("protocol", invalid, 2), ("protocol", refused, 1)]
     for command, config, expected in cases:
         name = f"{command}-{config.stem}"
-        program, in_process = tmp_path / "program" / name, tmp_path / "in-process" / name
-        proc = _run_as_program(code, [command, "--config", str(config), "--out", str(program)])
+        in_process = tmp_path / "in-process" / name
         assert main([command, "--config", str(config), "--out", str(in_process)]) == expected
-        assert (proc.returncode, proc.stderr) == (expected, capsys.readouterr().err), program
-        written = sorted(p.name for p in program.glob("*"))
-        assert written == sorted(p.name for p in in_process.glob("*"))
-        assert bool(written) == (expected == 0), program
-        for file in written:
-            assert (program / file).read_bytes() == (in_process / file).read_bytes(), file
+        captured = capsys.readouterr()
+        for start, code in starts.items():
+            program = tmp_path / start / name
+            proc = _run_as_program(code, [command, "--config", str(config), "--out", str(program)])
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                expected, captured.out, captured.err
+            ), program
+            written = sorted(p.name for p in program.glob("*"))
+            assert written == sorted(p.name for p in in_process.glob("*"))
+            assert bool(written) == (expected == 0), program
+            for file in written:
+                assert (program / file).read_bytes() == (in_process / file).read_bytes(), file
 
 
 def test_argparse_only_spellings_give_the_canonical_outputs(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Timing plan, phase gate, and the end-to-end preparation run."""
 
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from product.dynamics import compile_propagator, evolve, marginal_projected_weight, reduce_atomic
@@ -426,6 +427,75 @@ def test_an_ok_run_can_lose_to_the_excite_only_baseline():
     assert 1.0 - vacuum.fidelity_subradiant == pytest.approx(4.3e-5, abs=5e-7)
     assert 1.0 - one_photon.fidelity_subradiant == pytest.approx(8.7e-3, abs=5e-5)
     assert 1.0 - vacuum.fidelity_subradiant < 1 / 200 < 1.0 - one_photon.fidelity_subradiant
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    n_atoms=st.integers(2, 500),
+    ratio=st.floats(1.0, 3000.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    n=st.integers(0, 30),
+    branch=st.integers(0, 1),
+)
+def test_the_grades_are_fidelity_floors_on_branches_zero_and_one(n_atoms, ratio, sign, n, branch):
+    # 1 - F <= 4 v^2, so `ok` (v < 0.1) means F >= 0.96 and `marginal` (v < 0.3) F >= 0.64
+    params = ratio_params(n_atoms, sign * ratio)
+    assume(perturb.validity_parameter(params, n) < 0.3)
+    rep = run(params, FieldSpec.fock(n), ProtocolOptions(tm_branch=branch))
+    assert 1.0 - rep.fidelity_subradiant <= 4.0 * rep.validity**2
+
+
+def test_the_emission_of_the_prepared_state_tracks_its_loss():
+    # <J+J-> of the prepared state is about N (1 - F): the loss sits on the bright |S>
+    ratios = []
+    for n_atoms, ratio in itertools.product((50, 200, 1000), (100.0, 300.0, 1000.0)):
+        for field in (FieldSpec.fock(1), FieldSpec.fock(4), FieldSpec.thermal(1.0)):
+            rep = run(ratio_params(n_atoms, ratio), field)
+            if rep.validity < 0.3:
+                loss = n_atoms * (1.0 - rep.fidelity_subradiant)
+                ratios.append(rep.emission_expectation / loss)
+    assert len(ratios) == 23 and 0.85 <= min(ratios) and max(ratios) <= 1.07
+    # a lone excited control atom, which excite-only prepares, has <J+J-> = 1
+    rep = run(ratio_params(200, 300.0), FieldSpec.fock(1))
+    assert rep.validity_grade == "ok"
+    assert rep.emission_expectation == pytest.approx(1.7116, rel=1e-3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_atoms=st.integers(2, 200),
+    ratio=st.floats(20.0, 3000.0),
+    kind=st.sampled_from(FIELD_KINDS),
+    mean_n=st.floats(0.0, 1.5),
+    branch=st.integers(0, 2),
+)
+def test_the_sign_of_the_detuning_is_a_symmetry(n_atoms, ratio, kind, mean_n, branch):
+    # H(-delta) = -S H(delta) S with S = (-1)^e on the rungs: a run at -delta is the
+    # conjugate of the run at delta, so the gate time is the same and its phase flips
+    field = {
+        "fock": FieldSpec.fock(round(mean_n)),
+        "coherent": FieldSpec.coherent(math.sqrt(mean_n)),
+        "thermal": FieldSpec.thermal(mean_n),
+    }[kind]
+    options = ProtocolOptions(tm_branch=branch)
+    above, below = ratio_params(n_atoms, ratio), ratio_params(n_atoms, -ratio)
+    up, down = run(above, field, options), run(below, field, options)
+    assert up.t_m_seconds == down.t_m_seconds and up.phi_radians == -down.phi_radians
+    assert up.fidelity_subradiant == pytest.approx(down.fidelity_subradiant, abs=1e-14)
+    # <J+J-> reaches about N (1 - F), where 1e-14 is below one ulp
+    assert up.emission_expectation == pytest.approx(down.emission_expectation, rel=1e-14)
+    pairs = zip(up.meta["mixture_components"], down.meta["mixture_components"], strict=True)
+    for a, b in pairs:
+        assert (a["weight"], a["n"]) == (b["weight"], b["n"])
+        # the +-delta blocks are diagonalized apart, so a component agrees to 1e-14 or to
+        # its phase-rounding floor eps max|w| t_m, which the thermal tail can exceed
+        block = dynamics.compile_propagator(above, a["n"] + 1, up.meta["n_max"])
+        floor = np.finfo(float).eps * np.max(np.abs(block.eigenvalues)) * up.t_m_seconds
+        tolerance = max(1e-14, floor)
+        assert a["fidelity_subradiant"] == pytest.approx(b["fidelity_subradiant"], abs=tolerance)
+    times = dynamics.default_trajectory_times(above, 20)
+    populations = [trajectory(p, field, options, times)[:, 1:5] for p in (above, below)]
+    assert np.max(np.abs(populations[0] - populations[1])) <= 1e-14
 
 
 def test_report_round_trip_and_invariant():
