@@ -196,25 +196,22 @@ def single_excitation_pair(n_atoms: int, s, d) -> tuple:
     return (s + root * d) / math.sqrt(n_atoms), (root * s - d) / math.sqrt(n_atoms)
 
 
-def _jpjm(block: Block, amps: np.ndarray) -> np.ndarray:
-    """<J+J-> of amplitudes of shape (..., dim); J- = sqrt((e - lo)(N - lo - e + 1)) per rung."""
-    nn = block.params.n_atoms
-    lowered = (block.rungs - block.ladder) * (nn - block.ladder - block.rungs + 1)
-    return (np.abs(amps) ** 2 * lowered).sum(-1)
-
-
 def readouts(block: Block, amps: np.ndarray) -> np.ndarray:
     """TRAJECTORY_COLUMNS[1:] of amplitudes of shape (..., dim), along a new last axis.
 
-    p_symmetric and p_subradiant are the weights on |S> and |D>.
+    p_symmetric and p_subradiant are the weights on |S> and |D>, and jpjm is
+    <J+J-> with J- = sqrt((e - lo)(N - lo - e + 1)) on rung e of ladder lo.
     """
+    nn = block.params.n_atoms
     s, d = block.rung_one(amps)
-    weights = [np.abs(x) ** 2 for x in (*single_excitation_pair(block.params.n_atoms, s, d), s, d)]
+    weights = [np.abs(x) ** 2 for x in (*single_excitation_pair(nn, s, d), s, d)]
+    lowered = (block.rungs - block.ladder) * (nn - block.ladder - block.rungs + 1)
+    jpjm = (np.abs(amps) ** 2 * lowered).sum(-1)
     norm_error = np.abs(np.linalg.norm(amps, axis=-1) - 1.0)
-    return np.stack([*weights, _jpjm(block, amps), norm_error], axis=-1)
+    return np.stack([*weights, jpjm, norm_error], axis=-1)
 
 
-def default_trajectory_times(params: SystemParams, points: int = 400) -> np.ndarray:
+def default_trajectory_times(params: SystemParams, points: int) -> np.ndarray:
     """Uniform grid over one slow period [0, 2 pi / alpha]."""
     return np.linspace(0.0, 2.0 * np.pi / abs(params.alpha), points)
 

@@ -3,9 +3,11 @@
 Every field enters a run only through its photon-number weights p_n: the
 Hamiltonian, the phase gate and every readout conserve the excitation
 number, so each Fock level evolves in its own block and the results add
-up with weights p_n.  Pure fields (Fock, coherent) give p_n = |c_n|^2 of
-their amplitude vector over the retained levels; thermal fields give
-geometric weights truncated at a 1e-8 tail and renormalized.
+up with weights p_n, and no field builds anything else.  A Fock field is
+its level, a coherent field gives Poisson weights |c_n|^2 over the levels
+its amplitudes reach before they underflow, and a thermal field gives
+geometric weights truncated at a 1e-8 tail and renormalized, so no cost
+grows with the cutoff n_max.
 """
 
 from __future__ import annotations
@@ -94,66 +96,53 @@ class FieldSpec(FrozenRecord):
             scale = self._thermal_weights()[-1][1]
         return scale + n_atoms + math.ceil(6.0 * math.sqrt(mean) + 4.0)
 
-    def amplitudes(self, n_max: int) -> np.ndarray:
-        """Normalized amplitude vector over Fock levels 0..n_max (pure kinds)."""
-        if self.kind == "fock":
-            if self.n > n_max:
-                raise TruncationError(
-                    f"Fock level {self.n} above the truncation {n_max}"
-                )
-            c = np.zeros(n_max + 1, dtype=complex)
-            c[self.n] = 1.0
-            return c
-        if self.kind == "coherent":
-            mean = abs(self.amplitude) ** 2
-            vacuum = math.exp(-mean / 2.0)
-            if vacuum == 0:
-                raise TruncationError(
-                    f"coherent field with |amp|^2={mean:.3g}: exp(-|amp|^2/2) underflows "
-                    "to 0, so no cutoff can hold the field"
-                )
-            needed = mean + 6.0 * abs(self.amplitude) + 4.0
-            if n_max < needed:
-                raise TruncationError(
-                    f"coherent field with |amp|^2={mean:.3g} needs n_max >= "
-                    f"{math.ceil(needed)}, got {n_max}"
-                )
-            c = np.zeros(n_max + 1, dtype=complex)
-            c[0] = vacuum
-            for k in range(1, n_max + 1):
-                c[k] = c[k - 1] * self.amplitude / math.sqrt(k)
-            tail = 1.0 - float(np.vdot(c, c).real)
-            if tail > TAIL_MASS:
-                raise TruncationError(
-                    f"truncated coherent tail carries {tail:.2e} > {TAIL_MASS:.0e}; "
-                    f"raise n_max"
-                )
-            return c / np.linalg.norm(c)
-        raise ValueError("a thermal field is a mixture; use components()")
-
-    def components(self, n_max: int | None = None) -> list[tuple[float, int]]:
+    def components(self, n_max: int) -> list[tuple[float, int]]:
         """Photon-number decomposition [(p_n, n)] over Fock levels 0..n_max.
 
-        Pure fields give p_n = |c_n|^2 of `amplitudes(n_max)`, keeping the
-        levels with p_n >= WEIGHT_FLOOR (a coherent field needs n_max; a
-        Fock field defaults to its own level).  Thermal fields give the
-        geometric weights p_n = nbar^n / (1+nbar)^(n+1), cut at a 1e-8 tail
-        and renormalized; a given n_max must hold all of them.
+        A Fock field is its own level.  A coherent field gives the Poisson
+        weights p_n = |c_n|^2 of c_n = exp(-|a|^2/2) a^n / sqrt(n!), built by
+        recursion up to n_max or to the first c_n that underflows to 0,
+        renormalized and kept where p_n >= WEIGHT_FLOOR.  Thermal fields give
+        the geometric weights p_n = nbar^n / (1+nbar)^(n+1), cut at a 1e-8
+        tail and renormalized.  Each kind refuses a cutoff below its levels,
+        and none costs more for a higher one.
         """
+        if self.kind == "fock":
+            if self.n > n_max:
+                raise TruncationError(f"Fock level {self.n} above the truncation {n_max}")
+            return [(1.0, self.n)]
         if self.kind == "thermal":
             weights = self._thermal_weights()
             top = weights[-1][1]
-            if n_max is not None and top > n_max:
+            if top > n_max:
                 raise TruncationError(
                     f"thermal field with mean {self.mean_occupation:.3g} needs "
                     f"n_max >= {top}, got {n_max}"
                 )
             return weights
-        if n_max is None:
-            if self.kind == "coherent":
-                raise ValueError("a coherent decomposition needs the Fock cutoff n_max")
-            n_max = self.n
-        probs = np.abs(self.amplitudes(n_max)) ** 2
+        mean = abs(self.amplitude) ** 2
+        vacuum = math.exp(-mean / 2.0)
+        if vacuum == 0:
+            raise TruncationError(
+                f"coherent field with |amp|^2={mean:.3g}: exp(-|amp|^2/2) underflows "
+                "to 0, so no cutoff can hold the field"
+            )
+        needed = mean + 6.0 * abs(self.amplitude) + 4.0
+        if n_max < needed:
+            raise TruncationError(
+                f"coherent field with |amp|^2={mean:.3g} needs n_max >= "
+                f"{math.ceil(needed)}, got {n_max}"
+            )
+        c = [np.complex128(vacuum)]
+        while len(c) <= n_max and c[-1] != 0:
+            c.append(c[-1] * self.amplitude / math.sqrt(len(c)))
+        c = np.array(c)
+        tail = 1.0 - float(np.vdot(c, c).real)
+        if tail > TAIL_MASS:
+            raise TruncationError(
+                f"truncated coherent tail carries {tail:.2e} > {TAIL_MASS:.0e}; raise n_max"
+            )
+        probs = np.abs(c / np.linalg.norm(c)) ** 2
         return [(float(p), n) for n, p in enumerate(probs) if p >= WEIGHT_FLOOR]
 
     def _thermal_weights(self) -> list[tuple[float, int]]:

@@ -25,7 +25,6 @@ from . import __version__
 from .dynamics import (  # noqa: F401
     TRAJECTORY_COLUMNS,
     Block,
-    _jpjm,
     compile_propagator,
     evolve,
     evolve_grid,
@@ -239,14 +238,13 @@ def component_outcome(
 
 
 def _outcome(block: Block, initial: np.ndarray, c: int, t_m: float, phi: float, pt_times: int):
-    """`component_outcome` on a compiled block: the gated state at t_m gives the
-    fidelity and <J+J->, and `slow_model_error` the slow-model error."""
+    """`component_outcome` on a compiled block: the `readouts` of the gated state
+    at t_m give the fidelity and <J+J->, and `slow_model_error` the slow-model error."""
     # evolve_grid, not evolve: perfbench's measure of evolve binds a `state` that evolve lacks
     (at_t_m,) = evolve_grid(block, initial, [t_m])
-    final = phase_gate(block, at_t_m[0], phi)
+    _, _, _, fid, jpjm, _ = readouts(block, phase_gate(block, at_t_m[0], phi))
     pt_error = slow_model_error(block, initial, np.linspace(0.0, t_m, pt_times)) if c else None
-    fid = np.abs(block.rung_one(final)[1]) ** 2
-    return float(fid), float(_jpjm(block, final)), pt_error, len(block.rungs)
+    return float(fid), float(jpjm), pt_error, len(block.rungs)
 
 
 def _rows(block: Block, initial: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -15,8 +15,9 @@ N-1-k set, so lexicographic bitstring order equals numeric order).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from math import sqrt
+from math import lgamma, sqrt
 
 import numpy as np
 
@@ -321,6 +322,24 @@ def product_state(
         raise ValueError(f"field vector norm {nrm} deviates from 1 beyond {NORM_TOL}")
     amps = {(code, n): c[n] for n in range(c.size) if c[n] != 0.0}
     return PureState.from_amplitudes(basis, amps)
+
+
+def coherent_amplitudes(amplitude: complex, n_max: int) -> np.ndarray:
+    """Coherent-state amplitudes over Fock levels 0..n_max, renormalized there.
+
+    Each level is the closed form exp(-|a|^2/2) a^n / sqrt(n!), taken as
+    exp(-|a|^2/2 + n log a - lgamma(n + 1)/2) so that no factor overflows;
+    it shares no code with the weights that `FieldSpec.components` builds.
+    """
+    if amplitude == 0:
+        c = np.zeros(n_max + 1, dtype=complex)
+        c[0] = 1.0
+        return c
+    mean, log_a = abs(amplitude) ** 2, cmath.log(amplitude)
+    c = np.array(
+        [cmath.exp(-mean / 2.0 + n * log_a - lgamma(n + 1) / 2.0) for n in range(n_max + 1)]
+    )
+    return c / np.linalg.norm(c)
 
 
 def control_excited_state(

@@ -1321,7 +1321,8 @@ def test_evolve_thermal_is_the_weighted_fock_average(tmp_path):
     assert main(["evolve", "--config", str(thermal), "--out", str(tmp_path / "th")]) == 0
     rows = read_csv(tmp_path / "th" / "trajectory.csv")
     expected = {}
-    for w, n in FieldSpec.thermal(mean_n).components():
+    field = FieldSpec.thermal(mean_n)
+    for w, n in field.components(field.required_n_max(3)):
         cfg = write_config(
             tmp_path, name=f"fock{n}.json", n_atoms=3, delta_over_g=60.0,
             field={"kind": "fock", "n": n}, evolve={"points": 24},

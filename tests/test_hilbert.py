@@ -13,6 +13,7 @@ from product.hilbert import (
     PureState,
     atom_code,
     build_basis,
+    coherent_amplitudes,
     config_excitations,
     control_excited_state,
     product_state,
@@ -181,11 +182,8 @@ def test_control_excited_state_blocks():
 
 def test_control_excited_state_poisson_block_weights():
     # coherent amplitude 1: block M = n+1 carries the Poisson(1) weight of n
-    from subrad.fields import FieldSpec
-
     b = build_basis(3, 18)
-    amps = FieldSpec.coherent(1.0).amplitudes(18)
-    state = control_excited_state(b, amps)
+    state = control_excited_state(b, coherent_amplitudes(1.0, 18))
     for n in range(6):
         poisson = math.exp(-1.0) / math.factorial(n)
         weight = np.sum(np.abs(state.block_amps[n + 1]) ** 2)

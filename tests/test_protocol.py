@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from product.dynamics import compile_propagator, evolve, marginal_projected_weig
 from product.hilbert import (
     PureState,
     build_basis,
+    coherent_amplitudes,
     control_excited_state,
     subradiant_target,
     subradiant_target_vector,
@@ -262,7 +264,8 @@ def test_run_thermal_equals_weighted_fock_runs(mean_n):
     p = ratio_params(5, ratio=60.0)
     field = FieldSpec.thermal(mean_n)
     rep = run(p, field)
-    fock = [(w, run(p, FieldSpec.fock(n))) for w, n in field.components()]
+    components = field.components(field.required_n_max(p.n_atoms))
+    fock = [(w, run(p, FieldSpec.fock(n))) for w, n in components]
     for key in RUN_SCALARS:
         expected = sum(w * getattr(r, key) for w, r in fock)
         assert getattr(rep, key) == pytest.approx(expected, abs=1e-12), key
@@ -281,7 +284,7 @@ def test_run_coherent_matches_superposition_oracle(n_atoms, amplitude, control_i
     field = FieldSpec.coherent(amplitude)
     rep = run(p, field)
     basis = build_basis(n_atoms, field.required_n_max(n_atoms))
-    initial = control_excited_state(basis, field.amplitudes(basis.n_max), control_index)
+    initial = control_excited_state(basis, coherent_amplitudes(amplitude, basis.n_max), control_index)
     prop = compile_propagator(p, basis, block_ids=list(initial.block_amps))
     final = phase_gate(evolve(prop, initial, rep.t_m_seconds), rep.phi_radians, control_index)
     target = subradiant_target_vector(n_atoms, control_index)
@@ -308,6 +311,21 @@ def test_run_meta_has_one_shape(field):
     assert [(c["weight"], c["n"]) for c in comps] == field.components(meta["n_max"])
     recombined = sum(c["weight"] * c["fidelity_subradiant"] for c in comps)
     assert rep.fidelity_subradiant == pytest.approx(recombined, abs=1e-12)
+
+
+@pytest.mark.parametrize("field", [FieldSpec.fock(2), FieldSpec.coherent(1.0)])
+def test_run_memory_does_not_grow_with_the_default_cutoff(field):
+    # at N = 10^7 the default cutoff is about 10^7 levels; a cutoff-long field
+    # vector alone would take 160 MB, while a block holds at most 2(n + 2) rungs
+    params = SystemParams.from_detuning_ratio(10**7, 2 * math.pi * 1e4, 2e4)
+    tracemalloc.start()
+    try:
+        rep = run(params, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.meta["n_max"] > 10**7
+    assert peak < 2e6
 
 
 def test_run_truncation_refusal():
@@ -459,6 +477,46 @@ def test_the_emission_of_the_prepared_state_tracks_its_loss():
     rep = run(ratio_params(200, 300.0), FieldSpec.fock(1))
     assert rep.validity_grade == "ok"
     assert rep.emission_expectation == pytest.approx(1.7116, rel=1e-3)
+
+
+def slow_plan_loss(n_atoms, ratio, n, periods=0.0, dphi=0.0):
+    """1 - F_n at g/2pi = 10 kHz with the slow plan's gate moved `periods` fast
+    periods 2 pi / omega_f late, omega_f = sqrt(delta^2 + 4 N g^2), and `dphi` off its phase."""
+    params = SystemParams.from_detuning_ratio(n_atoms, 2 * math.pi * 1e4, ratio)
+    plan_ = plan(params)
+    omega_f = math.sqrt(params.delta**2 + 4 * n_atoms * params.g**2)
+    t = plan_.t_m + periods * 2 * math.pi / omega_f
+    return 1.0 - component_outcome(params, n, 1, n + 1, t, plan_.phi + dphi, 1)[0]
+
+
+# ROADMAP "Measured": 1 - F_4 of the slow plan with the gate moved by 0, 1%, 3%
+# and 10% of a fast period, late (the table) and early
+SLOW_PLAN_TIMING = {
+    (200, 100.0): {0.0: 0.19, 0.01: 0.18, 0.03: 0.17, 0.10: 0.11, -0.01: 0.20, -0.03: 0.21,
+                   -0.10: 0.25},
+    (200, 300.0): {0.0: 0.034, 0.01: 0.034, 0.03: 0.033, 0.10: 0.028, -0.01: 0.034,
+                   -0.03: 0.035, -0.10: 0.034},
+    (1000, 1000.0): {0.0: 1.3e-3, 0.01: 1.6e-3, 0.03: 2.2e-3, 0.10: 5.1e-3, -0.01: 1.0e-3,
+                     -0.03: 6.0e-4, -0.10: 9.7e-6},
+}
+
+
+def test_the_slow_plan_timing_window_is_the_measured_one():
+    # the figures have two digits, so each is off by at most 5% of itself
+    for (n_atoms, ratio), row in SLOW_PLAN_TIMING.items():
+        got = {periods: slow_plan_loss(n_atoms, ratio, 4, periods) for periods in row}
+        assert got == pytest.approx(row, rel=0.05), (n_atoms, ratio)
+
+
+def test_the_slow_plan_phase_bound_is_the_measured_one():
+    # +-30 mrad on the phase adds at most 5.23e-5 to 1 - F_n (N=200, delta/g=100, n=4, +30 mrad)
+    increases = [
+        slow_plan_loss(n_atoms, ratio, n, dphi=dphi) - slow_plan_loss(n_atoms, ratio, n)
+        for n_atoms, ratio in ((50, 100.0), (200, 100.0), (200, 300.0), (1000, 1000.0))
+        for n in (0, 4)
+        for dphi in (-0.03, 0.03)
+    ]
+    assert 5.2e-5 < max(increases) <= 5.5e-5
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -90,7 +90,7 @@ def protocol_cases(draw):
         small = math.ceil(amp**2 + 6 * amp + 4) + 3
     else:
         field = FieldSpec.thermal(draw(st.floats(min_value=0.0, max_value=0.4)))
-        small = field.components()[-1][1] + 1
+        small = field.components(field.required_n_max(0))[-1][1] + 1
     options = ProtocolOptions(
         n_max=draw(st.sampled_from([None, small])),
         tm_branch=draw(st.integers(min_value=0, max_value=1)),
