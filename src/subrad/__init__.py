@@ -11,7 +11,6 @@ from .dynamics import (
     spectrum,
 )
 from .perturb import (
-    EffectiveModel,
     closed_form_corrections,
     slow_amplitudes,
     slow_model_error,
@@ -29,7 +28,6 @@ from .protocol import (
 
 __all__ = [
     "Block",
-    "EffectiveModel",
     "FieldSpec",
     "ProtocolOptions",
     "ProtocolPlan",

@@ -33,7 +33,9 @@ from .dynamics import (  # noqa: F401
 from .fields import FIELD_KINDS, FieldSpec
 from .model import FrozenRecord, SystemParams
 from .perturb import closed_form_corrections, validity_parameter, validity_grade
-from .protocol import NoSubradiantSectorError, ProtocolOptions, _run, run, trajectory
+from .protocol import (
+    NoSubradiantSectorError, ProtocolOptions, _run, fock_components, run, trajectory,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,7 +53,7 @@ TOP_KEYS = frozenset(
     }
 )
 SECTION_KEYS = {
-    "options": frozenset(ProtocolOptions.__slots__) - {"seed"},  # seed is a top-level key
+    "options": frozenset(ProtocolOptions.__slots__),
     "sweep": frozenset({"axis", "values"}),
     "spectrum": frozenset({"photons", "block", "h0_only"}),
     "evolve": frozenset({"points", "t_final_seconds"}),
@@ -163,6 +165,7 @@ class RunConfig(FrozenRecord):
         "h0_only",  # spectrum of the free Hamiltonian alone
         "sweep_axis",  # None when the sweep section has no axis
         "sweep_values",  # a tuple of floats
+        "seed",  # echoed into report.json; runs are deterministic
         "raw",  # the JSON config, echoed into report.json
     )
 
@@ -193,7 +196,8 @@ class RunConfig(FrozenRecord):
 
         values["field"] = _field(obj.get("field", {"kind": "fock", "n": 0}))
         seed = obj.get("seed")
-        options = {"seed": seed if seed is None else _integer(seed, "seed")}
+        values["seed"] = seed if seed is None else _integer(seed, "seed")
+        options = {}
         defaults = ProtocolOptions()
         for name, parse in OPTION_PARSERS.items():
             default = getattr(defaults, name)
@@ -247,6 +251,7 @@ def _load_config(path: str) -> RunConfig:
 
 def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
     params = config.params()
+    fock_components(params, config.field, config.options)  # a cutoff refusal comes first
     validity = validity_parameter(params, config.field.mean_n)
     if validity_grade(validity) == "invalid" and not config.allow_invalid:
         print(
@@ -258,10 +263,11 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
 
     times = default_trajectory_times(params, config.points)
     report, table = _run(params, config.field, config.options, times)
+    payload = {"config": config.raw, "report": report.to_dict()}
+    if config.seed is not None:
+        payload["report"]["meta"]["seed"] = config.seed
     out_dir.mkdir(parents=True, exist_ok=True)
-    serialize.dump_json(
-        {"config": config.raw, "report": report.to_dict()}, out_dir / "report.json"
-    )
+    serialize.dump_json(payload, out_dir / "report.json")
     serialize.write_table(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, table)
     print(
         f"t_m = {report.t_m_microseconds:.6g} us, "
@@ -392,11 +398,11 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
     # A block above the cutoff has no rung 0, whose second-order term
     # -N M g^2 / delta the closed form of delta_e1 holds; it is taken out.
     e0 = params.omega_a * (1 - nn / 2.0) + params.omega_c * (sector_n - 1)
-    corrections = closed_form_corrections(params, sector_n)
-    de1 = 0.0 if h0_only else corrections.delta_e1
+    delta_e1, delta_ei = closed_form_corrections(params, sector_n)
+    de1 = 0.0 if h0_only else delta_e1
     if sector_n > n_max and not h0_only:
         de1 += nn * sector_n * params.g**2 / params.delta
-    dei = 0.0 if h0_only or corrections.delta_ei is None else corrections.delta_ei
+    dei = 0.0 if h0_only or delta_ei is None else delta_ei
     scale = 2.0 * abs(params.alpha)
     rows = []
     for ev, e, lo in zip(values, rungs.tolist(), ladders.tolist()):
@@ -537,8 +543,7 @@ def main(argv=None) -> int:
         config = _load_config(args["config"])
         seed = args["seed"]
         if seed is not None:
-            options = config.options._replace(seed=seed)
-            config = config._replace(options=options, raw={**config.raw, "seed": seed})
+            config = config._replace(seed=seed, raw={**config.raw, "seed": seed})
         out_dir = Path(args["out"])
         command = args["command"]
         # Overflow and the like are not warned about: every command refuses a

@@ -25,31 +25,20 @@ import numpy as np
 
 # evolve is imported only for perfbench/selftest.py's tracer check
 from .dynamics import Block, evolve, evolve_grid, single_excitation_pair  # noqa: F401
-from .model import FrozenRecord, SystemParams
+from .model import SystemParams
 
 
-class EffectiveModel(FrozenRecord):
-    """Closed-form second-order corrections and the slow rate (rad/s)."""
+def closed_form_corrections(params: SystemParams, n: int) -> tuple[float, float | None]:
+    """The closed-form second-order shifts (delta_e1, delta_ei) for photon level n-1, rad/s.
 
-    __slots__ = ("delta_e1", "delta_ei", "alpha")  # delta_ei is None for a single atom
-
-    def as_report(self) -> dict:
-        return {
-            "delta_e1_rad_s": self.delta_e1,
-            "delta_ei_rad_s": self.delta_ei,
-            "alpha_per_s": self.alpha,
-        }
-
-
-def closed_form_corrections(params: SystemParams, n: int) -> EffectiveModel:
-    """Evaluate the closed-form second-order shifts for photon level n-1."""
+    delta_ei is None for a single atom, which has no dark states.
+    """
     if n < 1:
         raise ValueError(f"sector index n must be >= 1, got {n}")
     nn = params.n_atoms
     shift = params.g**2 / params.delta
     de1 = shift * (nn * n - 2 * nn - 2 * n + 2)
-    dei = de1 + nn * shift if nn >= 2 else None
-    return EffectiveModel(delta_e1=de1, delta_ei=dei, alpha=params.alpha)
+    return de1, de1 + nn * shift if nn >= 2 else None
 
 
 # ---------------------------------------------------------------------------

@@ -94,20 +94,19 @@ def phase_gate(block: Block, psi: np.ndarray, phi: float) -> np.ndarray:
 class ProtocolOptions(FrozenRecord):
     """Knobs for protocol.run; the defaults reproduce the standard scheme.
 
-    n_max is the Fock cutoff (None selects the conservative rule), pt_times
-    the grid size of the exact-vs-slow comparison on [0, t_m], and the seed
-    is only echoed into reports: runs are deterministic.
+    n_max is the Fock cutoff (None selects the conservative rule) and
+    pt_times the grid size of the exact-vs-slow comparison on [0, t_m].
     """
 
-    __slots__ = ("n_max", "tm_branch", "phi_override", "excite_control", "pt_times", "seed")
+    __slots__ = ("n_max", "tm_branch", "phi_override", "excite_control", "pt_times")
 
     def __init__(
         self, n_max: int | None = None, tm_branch: int = 0, phi_override: float | None = None,
-        excite_control: bool = True, pt_times: int = 101, seed: int | None = None,
+        excite_control: bool = True, pt_times: int = 101,
     ):
         super().__init__(
             n_max=n_max, tm_branch=tm_branch, phi_override=phi_override,
-            excite_control=excite_control, pt_times=pt_times, seed=seed,
+            excite_control=excite_control, pt_times=pt_times,
         )
 
 
@@ -317,19 +316,8 @@ def _run(
     weight = sum(w for w, _ in components)
     pt_error = sum(w * pt for w, *_, pt, _ in outcomes) / weight if c else None
 
-    meta = {
-        "package_version": __version__,
-        "n_max": n_max,
-        "max_block_dim": max(dim for *_, dim in outcomes),
-        "mixture_components": [
-            {"weight": w, "n": n, "fidelity_subradiant": fid} for w, n, fid, *_ in outcomes
-        ],
-    }
-    if options.seed is not None:
-        meta["seed"] = options.seed
-
     sector_n = int(round(field.mean_n)) + 1  # dominant degenerate level
-    corrections = closed_form_corrections(params, sector_n)
+    delta_e1, delta_ei = closed_form_corrections(params, sector_n)
 
     report = ProtocolReport(
         n_atoms=params.n_atoms,
@@ -351,11 +339,20 @@ def _run(
         pt_coefficient_error=pt_error,
         perturbation={
             "sector_n": sector_n,
-            **corrections.as_report(),
+            "delta_e1_rad_s": delta_e1,
+            "delta_ei_rad_s": delta_ei,
+            "alpha_per_s": params.alpha,
             "validity": validity,
             "pt_vs_exact_error": pt_error,
         },
-        meta=meta,
+        meta={
+            "package_version": __version__,
+            "n_max": n_max,
+            "max_block_dim": max(dim for *_, dim in outcomes),
+            "mixture_components": [
+                {"weight": w, "n": n, "fidelity_subradiant": fid} for w, n, fid, *_ in outcomes
+            ],
+        },
     )
     if refusals:
         raise refusals[0]

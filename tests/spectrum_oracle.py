@@ -38,11 +38,11 @@ def spectrum_rows(config: RunConfig) -> list[dict]:
     eigenvalues = np.repeat(values, counts)
 
     e0 = params.omega_a * (1 - nn / 2.0) + params.omega_c * (sector_n - 1)
-    corrections = closed_form_corrections(params, sector_n)
-    de1 = 0.0 if h0_only else corrections.delta_e1
+    delta_e1, delta_ei = closed_form_corrections(params, sector_n)
+    de1 = 0.0 if h0_only else delta_e1
     if sector_n > n_max and not h0_only:  # rung 0 is clipped, and its second-order term with it
         de1 += nn * sector_n * params.g**2 / params.delta
-    dei = 0.0 if h0_only or corrections.delta_ei is None else corrections.delta_ei
+    dei = 0.0 if h0_only or delta_ei is None else delta_ei
     levels = [(e0 + de1, "delta_e1", 1), (e0 + dei, "delta_ei", nn - 1)]
     levels += [(val, f"free_k{e}", math.comb(nn, e)) for e, val in free.items() if e != 1]
     levels.sort(key=lambda lv: lv[0])

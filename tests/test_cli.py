@@ -73,6 +73,47 @@ def test_protocol_validity_refusal_exit_2(tmp_path, capsys):
     assert main(["protocol", "--config", str(forced), "--out", str(tmp_path / "f")]) == 0
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"n_atoms": 3, "delta_over_g": 100.0,
+             "field": {"kind": "coherent", "amplitude_re": 40}},
+            "so no cutoff can hold the field; no n_max up to 1847 runs it",
+        ),
+        (
+            {"n_atoms": 50, "delta_over_g": 10.0,
+             "field": {"kind": "thermal", "mean_n": 2}, "options": {"n_max": 3}},
+            "needs n_max >= 45, got 3; this run needs n_max >= 45",
+        ),
+    ],
+    ids=["coherent-underflow", "thermal-below-cutoff"],
+)
+def test_protocol_cutoff_refusal_comes_before_the_validity_gate(
+    tmp_path, capsys, overrides, message
+):
+    # v >= 0.3 as well, but allow_invalid cannot make the run go: exit 1 with the cutoff
+    # message either way, not 2 with advice to set it
+    for allow_invalid in (False, True):
+        cfg = write_config(tmp_path, allow_invalid=allow_invalid, **overrides)
+        assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: TruncationError: ") and message in err, err
+        assert not (tmp_path / "o").exists()
+
+
+def test_protocol_runnable_field_above_the_validity_bound_still_exits_2(tmp_path, capsys):
+    # the thermal field refused above, under the default cutoff that runs it
+    field = {"kind": "thermal", "mean_n": 2}
+    cfg = write_config(tmp_path, n_atoms=50, delta_over_g=10.0, field=field)
+    assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "refusing: validity parameter 1.225 >= 0.3 (set allow_invalid to force the run)\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_protocol_deterministic_bytes(tmp_path):
     cfg = write_config(tmp_path, seed=3)
     for d in ("a", "b"):
@@ -327,7 +368,7 @@ def test_options_take_their_names_and_defaults_from_protocol_options():
     base = {"n_atoms": 3, "g_over_2pi_hz": G_HZ, "delta_over_g": 100.0}
     assert RunConfig.from_json(base).options == ProtocolOptions()
     assert RunConfig.from_json({**base, "options": {}}).options == ProtocolOptions()
-    assert subrad.cli.SECTION_KEYS["options"] == set(ProtocolOptions.__slots__) - {"seed"}
+    assert subrad.cli.SECTION_KEYS["options"] == set(ProtocolOptions.__slots__)
 
 
 @pytest.mark.parametrize(
@@ -478,7 +519,7 @@ def test_integral_float_keys_accepted():
     )
     assert config.n_atoms == 4 and config.field.n == 1
     opts = config.options
-    assert (opts.tm_branch, opts.n_max, opts.pt_times, opts.seed) == (1, 9, 11, 7)
+    assert (opts.tm_branch, opts.n_max, opts.pt_times, config.seed) == (1, 9, 11, 7)
     assert all(type(v) is int for v in (config.n_atoms, config.field.n, opts.n_max))
 
 
@@ -1424,8 +1465,10 @@ def test_report_json_parses_to_the_config_and_the_report(tmp_path, overrides):
     text = (tmp_path / "o" / "report.json").read_text(encoding="utf-8")
     payload = json.loads(text, parse_constant=refuse_constant)
     config = RunConfig.from_json(raw)
-    report = subrad.protocol.run(config.params(), config.field, config.options)
-    assert_same_json(payload, {"config": raw, "report": report.to_dict()})
+    report = subrad.protocol.run(config.params(), config.field, config.options).to_dict()
+    if config.seed is not None:  # the CLI echoes the seed as the last meta key
+        report["meta"]["seed"] = config.seed
+    assert_same_json(payload, {"config": raw, "report": report})
     # an integral float of the config comes back as a float
     assert type(payload["config"]["g_over_2pi_hz"]) is float
     assert f'"g_over_2pi_hz": {G_HZ!r},' in text

@@ -18,6 +18,7 @@ from product.perturb import (
     exact_vs_effective_error,
     second_order_matrix,
 )
+from subrad.fields import FieldSpec
 from subrad.model import SystemParams
 from subrad.perturb import (
     closed_form_corrections,
@@ -25,6 +26,7 @@ from subrad.perturb import (
     validity_grade,
     validity_parameter,
 )
+from subrad.protocol import run
 
 G = 2 * math.pi * 24e3
 
@@ -66,9 +68,9 @@ def test_spectrum_matches_closed_forms(n_atoms, n):
     mat = second_order_matrix(p, b, build_sector(p, b, n))
     assert np.max(np.abs(mat - mat.conj().T)) < 1e-20 * abs(p.delta)
     got = np.sort(np.linalg.eigvalsh(mat))
-    cf = closed_form_corrections(p, n)
-    want = np.sort([cf.delta_e1] + [cf.delta_ei] * (n_atoms - 1))
-    scale = max(abs(cf.delta_e1), abs(cf.delta_ei))
+    delta_e1, delta_ei = closed_form_corrections(p, n)
+    want = np.sort([delta_e1] + [delta_ei] * (n_atoms - 1))
+    scale = max(abs(delta_e1), abs(delta_ei))
     assert np.max(np.abs(got - want)) < 1e-10 * scale
 
 
@@ -98,31 +100,32 @@ def test_accidental_degeneracy_guard():
 
 def test_closed_form_rydberg_point():
     p = ratio_params(10, ratio=30.0)
-    cf = closed_form_corrections(p, 1)
-    assert cf.alpha == pytest.approx(2.51e4, abs=0.02e4)
-    assert cf.delta_ei - cf.delta_e1 == pytest.approx(2 * cf.alpha, rel=1e-12)
+    delta_e1, delta_ei = closed_form_corrections(p, 1)
+    assert p.alpha == pytest.approx(2.51e4, abs=0.02e4)
+    assert delta_ei - delta_e1 == pytest.approx(2 * p.alpha, rel=1e-12)
 
 
 def test_closed_form_single_atom_branch_absent():
     p = SystemParams(n_atoms=1, omega_a=1e6, omega_c=1e6 + 30 * G, g=G)
     for n in (1, 2, 5):
-        cf = closed_form_corrections(p, n)
-        assert cf.delta_ei is None
-        assert cf.delta_e1 == pytest.approx(-p.g**2 * n / p.delta)
+        delta_e1, delta_ei = closed_form_corrections(p, n)
+        assert delta_ei is None
+        assert delta_e1 == pytest.approx(-p.g**2 * n / p.delta)
 
 
 @pytest.mark.parametrize("n_atoms", [2, 4, 9])
 def test_gap_identity_all_n(n_atoms):
     p = ratio_params(n_atoms, ratio=51.0)
     for n in range(1, 7):
-        cf = closed_form_corrections(p, n)
-        assert abs(cf.delta_ei - cf.delta_e1 - 2 * cf.alpha) < 1e-12 * abs(cf.alpha)
+        delta_e1, delta_ei = closed_form_corrections(p, n)
+        assert abs(delta_ei - delta_e1 - 2 * p.alpha) < 1e-12 * abs(p.alpha)
 
 
 def test_alpha_is_bit_identical_across_n():
     p = ratio_params(6)
-    alphas = {closed_form_corrections(p, n).alpha for n in range(1, 9)}
-    assert len(alphas) == 1  # never reads n
+    # the report's slow rate sits beside the shifts of sector n = round(<n>) + 1
+    alphas = {run(p, FieldSpec.fock(n)).perturbation["alpha_per_s"] for n in range(8)}
+    assert alphas == {p.alpha}  # never reads n
 
 
 # -- effective slow evolution -------------------------------------------------

@@ -28,7 +28,6 @@ from subrad import dynamics, perturb
 from subrad.cli import RunConfig
 from subrad.fields import FIELD_KINDS, FieldSpec, TruncationError
 from subrad.model import FrozenRecord, SystemParams
-from subrad.perturb import closed_form_corrections
 from subrad.protocol import (
     NoSubradiantSectorError,
     ProtocolOptions,
@@ -464,7 +463,8 @@ def test_the_grades_are_fidelity_floors_on_branches_zero_and_one(n_atoms, ratio,
 
 
 def test_the_emission_of_the_prepared_state_tracks_its_loss():
-    # <J+J-> of the prepared state is about N (1 - F): the loss sits on the bright |S>
+    # <J+J-> of the prepared state is about N (1 - F): with photons, the loss is a photon
+    # absorbed on top of |D> (see the next test), where <J+J-> = N - 2 per unit weight
     ratios = []
     for n_atoms, ratio in itertools.product((50, 200, 1000), (100.0, 300.0, 1000.0)):
         for field in (FieldSpec.fock(1), FieldSpec.fock(4), FieldSpec.thermal(1.0)):
@@ -477,6 +477,38 @@ def test_the_emission_of_the_prepared_state_tracks_its_loss():
     rep = run(ratio_params(200, 300.0), FieldSpec.fock(1))
     assert rep.validity_grade == "ok"
     assert rep.emission_expectation == pytest.approx(1.7116, rel=1e-3)
+
+
+def test_the_loss_is_a_cavity_photon_in_vacuum_and_an_absorbed_photon_otherwise():
+    # 1 - F_n of the gated Fock component, split by rung: rung 0 (the excitation back in
+    # the cavity), |S> and rung 2 of the ladder j = N/2 - 1 (|D> with a photon absorbed)
+    columns = dynamics.TRAJECTORY_COLUMNS[1:]
+    dark, bright = columns.index("p_subradiant"), columns.index("p_symmetric")
+    shares = {n: [] for n in (0, 1, 4)}
+    for n_atoms, ratio in itertools.product((50, 200, 1000), (100.0, 300.0, 1000.0)):
+        params = ratio_params(n_atoms, ratio)
+        plan_ = plan(params)
+        for n, share in shares.items():
+            if perturb.validity_parameter(params, n) >= 0.3:
+                continue
+            block = dynamics.compile_propagator(params, n + 1, n + 1)
+            psi = np.where(block.rungs == 1, block.control_share, 0.0)
+            evolved = dynamics.evolve(block, psi, plan_.t_m)
+            gated = subrad.protocol.phase_gate(block, evolved, plan_.phi)
+            cols = dynamics.readouts(block, gated)
+            weights = np.abs(gated) ** 2
+            loss = 1.0 - cols[dark]
+            rung_0 = weights[block.rungs == 0].sum() / loss
+            absorbed = weights[(block.rungs == 2) & (block.ladder == 1)].sum() / loss
+            share.append((rung_0, cols[bright] / loss, absorbed))
+    # measured: rung 0 holds 0.892-0.9996 of the vacuum loss; rung 2 of ladder 1 holds
+    # 0.8915-0.998 at n = 1 and 0.950-0.998 at n = 4, and |S> at most 0.0065 and 0.0014
+    assert [len(share) for share in shares.values()] == [8, 8, 7]
+    assert min(rung_0 for rung_0, _, _ in shares[0]) >= 0.88
+    assert all(absorbed == 0.0 for *_, absorbed in shares[0])  # block 1 has no rung 2
+    for n in (1, 4):
+        assert min(absorbed for *_, absorbed in shares[n]) >= 0.88, n
+        assert max(bright for _, bright, _ in shares[n]) <= 0.01, n
 
 
 def slow_plan_loss(n_atoms, ratio, n, periods=0.0, dphi=0.0):
@@ -557,10 +589,9 @@ def test_the_sign_of_the_detuning_is_a_symmetry(n_atoms, ratio, kind, mean_n, br
 
 
 def test_report_round_trip_and_invariant():
-    rep = run(ratio_params(3), FieldSpec.fock(0), ProtocolOptions(seed=11))
+    rep = run(ratio_params(3), FieldSpec.fock(0), ProtocolOptions())
     again = ProtocolReport(**rep.to_dict())
     assert again.to_dict() == rep.to_dict()
-    assert rep.meta["seed"] == 11
     with pytest.raises(ValueError, match="metric ordering"):
         bad = rep.to_dict()
         bad["fidelity_subradiant"] = bad["dfs_weight"] + 1e-3
@@ -568,7 +599,7 @@ def test_report_round_trip_and_invariant():
 
 
 def _thermal_report():
-    return run(ratio_params(3), FieldSpec.thermal(0.3), ProtocolOptions(seed=11))
+    return run(ratio_params(3), FieldSpec.thermal(0.3), ProtocolOptions())
 
 
 def _disordered_report():
@@ -603,9 +634,6 @@ VALUE_TYPES = [
     ),
     pytest.param(
         lambda: dynamics.compile_propagator(ratio_params(3), 2, 4), "rungs", False, [], id="Block"
-    ),
-    pytest.param(
-        lambda: closed_form_corrections(ratio_params(3), 1), "alpha", True, [], id="EffectiveModel"
     ),
     pytest.param(lambda: plan(ratio_params(3)), "phi", True, [], id="ProtocolPlan"),
     pytest.param(lambda: ProtocolOptions(n_max=9), "n_max", True, [], id="ProtocolOptions"),

@@ -197,6 +197,41 @@ def test_vacuum_component_matches_the_closed_form(n_atoms, ratio, sign, fraction
     assert fid == pytest.approx(vacuum_fidelity(params, t, phi), abs=1e-12 + floor)
 
 
+def revival_gate(params):
+    """(t_rev, phi_rev): the fast node 2 pi k / omega_f nearest the slow model's t_m, and
+    the phase arg(b_0 a_0*) of the vacuum block's rung-one pair there.
+
+    omega_f = sqrt(delta^2 + 4 N g^2), alpha_ex = (omega_f - |delta|) / 4, and k is the
+    integer nearest omega_f theta / (2 pi alpha_ex) with sin theta = sqrt(N / (4N - 4)).
+    """
+    nn = params.n_atoms
+    omega_f = math.sqrt(params.delta**2 + 4 * nn * params.g**2)
+    alpha_ex = (omega_f - abs(params.delta)) / 4
+    theta = math.asin(math.sqrt(nn / (4 * nn - 4)))
+    t_rev = 2 * math.pi * round(omega_f * theta / (2 * math.pi * alpha_ex)) / omega_f
+    block = dynamics.compile_propagator(params, 1, 1)
+    psi = np.where(block.rungs == 1, block.control_share, 0.0)
+    s, d = block.rung_one(dynamics.evolve(block, psi, t_rev))
+    b = math.sqrt((nn - 1) / nn) * dynamics.single_excitation_pair(nn, s, d)[0]
+    return t_rev, cmath.phase(b * (d - b).conjugate())
+
+
+@pytest.mark.parametrize("coupling", [0.01, 0.04])
+def test_photon_number_drops_out_in_the_bosonic_limit(coupling):
+    # at fixed N g^2 / delta^2, |D> decouples as N grows and |S> with the photons becomes a
+    # beam splitter that no photon number changes: |F_n - F_0| at t_rev falls like 1 / N^2
+    # (measured: 100.0-101.6x per decade from N = 10^3 to 10^5, down to 1.6e-11)
+    gaps = {n: [] for n in (1, 5, 20)}
+    for n_atoms in (10**3, 10**4, 10**5):
+        params = SystemParams.from_detuning_ratio(n_atoms, G, math.sqrt(n_atoms / coupling))
+        t_rev, phi_rev = revival_gate(params)
+        f_0 = component_outcome(params, 0, 1, 1, t_rev, phi_rev, 1)[0]
+        for n, gap in gaps.items():
+            gap.append(abs(component_outcome(params, n, 1, n + 1, t_rev, phi_rev, 1)[0] - f_0))
+    for n, gap in gaps.items():
+        assert gap[0] >= 50 * gap[1] >= 2500 * gap[2] > 0, (n, gap)
+
+
 def test_vacuum_closed_form_at_the_plan():
     # the slow model's fidelity at (t_m, phi) is 1; F_0 reaches it up to O(g^2 N / delta^2)
     params = SystemParams.from_detuning_ratio(10, G, 1000.0)
