@@ -406,7 +406,7 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
     scale = 2.0 * abs(params.alpha)
     rows = []
     for ev, e, lo in zip(values, rungs.tolist(), ladders.tolist()):
-        if e == 1 and lo < 2:
+        if e == 1:
             label, lv = ("delta_e1", e0 + de1) if lo == 0 else ("delta_ei", e0 + dei)
         else:
             label = f"free_k{e}"

@@ -24,8 +24,8 @@ scale of delta, so rounding of w t spoils no relative phase even in the
 laboratory frame, where omega_a exceeds delta by orders of magnitude.  A
 whole time grid is evaluated as V (exp(-i w t') * (V' psi)), as many times
 per product as AMPLITUDE_BUDGET amplitudes hold.  The spectrum of a whole
-product block is the union of the ladders of every total spin j, each
-repeated dicke_multiplicity(N, j) times.  A ladder is an irreducible
+product block is the union of the ladders lo = N/2 - j of every total spin
+j, each repeated dicke_multiplicity(N, lo) times.  A ladder is an irreducible
 tridiagonal matrix, so its eigenvalues never cross as g grows from 0: the
 r-th smallest one belongs to the rung of the r-th smallest diagonal entry,
 which names its slow-model level.
@@ -60,13 +60,9 @@ class EigensolverError(RuntimeError):
     """Per-block diagonalization failed or did not reproduce the block."""
 
 
-def dicke_multiplicity(n_atoms: int, j: float) -> int:
-    """Number of inequivalent collective-spin-j ladders for N spin-1/2 atoms."""
-    two_j = round(2 * j)
-    if two_j < 0 or two_j > n_atoms or (n_atoms - two_j) % 2:
-        return 0
-    k = (n_atoms - two_j) // 2
-    return math.comb(n_atoms, k) - (math.comb(n_atoms, k - 1) if k >= 1 else 0)
+def dicke_multiplicity(n_atoms: int, lo: int) -> int:
+    """Number of inequivalent ladders lo = N/2 - j of N spin-1/2 atoms, 0 <= lo <= N/2."""
+    return math.comb(n_atoms, lo) - (math.comb(n_atoms, lo - 1) if lo else 0)
 
 
 class Block(FrozenRecord):
@@ -225,7 +221,7 @@ def spectrum(
     e = N/2 - j .. N/2 + j excited atoms with n = M - e photons in
     [0, n_max].  Returns four arrays: the eigenvalues, the rung e that each
     one's rank connects to, its ladder lo = N/2 - j, and the multiplicity
-    dicke_multiplicity(N, j) of that ladder in the block.  Equal eigenvalues
+    dicke_multiplicity(N, lo) of that ladder in the block.  Equal eigenvalues
     keep ladder order.  `h0_only` drops the coupling.
     """
     nn = params.n_atoms
@@ -243,7 +239,7 @@ def spectrum(
                 np.linalg.eigvalsh(h),
                 e[np.argsort(np.diag(h), kind="stable")],
                 np.full(e.size, lo),
-                np.full(e.size, dicke_multiplicity(nn, nn / 2.0 - lo)),
+                np.full(e.size, dicke_multiplicity(nn, lo)),
             )
         )
     values, rungs, ladders, counts = (np.concatenate(column) for column in zip(*parts))

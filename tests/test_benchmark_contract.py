@@ -3,7 +3,8 @@
 perfbench/tracer.py wraps every public subrad function and sums self time per
 module, perfbench/selftest.py checks that the wrappers reach the names that
 protocol, perturb and cli import from dynamics, and perfbench/checks.py
-compares the CLI's seed-0 outputs with perfbench/reference/.  These tests make
+compares the CLI's seed-0 outputs with perfbench/reference/.  The tracer wraps
+only the modules that `import subrad.cli` loads.  These tests make
 a change that breaks any of these contracts fail here, not only in the
 benchmark.
 """
@@ -11,7 +12,9 @@ benchmark.
 import importlib.util
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -81,6 +84,17 @@ def test_measured_argument_is_in_the_signature(name, argument):
 def test_every_module_is_a_tracer_layer(tracer):
     modules = {m.name for m in pkgutil.iter_modules(subrad.__path__)}
     assert modules and modules <= set(tracer.LAYERS), modules - set(tracer.LAYERS)
+
+
+def test_importing_the_cli_loads_every_module():
+    # a module that loads later would leave the trace without failing anything
+    code = "import sys, subrad.cli; print(*[m for m in sys.modules if m.startswith('subrad.')])"
+    env = {**os.environ, "PYTHONPATH": str(Path(subrad.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    modules = {f"subrad.{m.name}" for m in pkgutil.iter_modules(subrad.__path__)}
+    assert modules - set(proc.stdout.split()) == set()
 
 
 def test_summarize_takes_a_span_of_every_traced_function(tracer, tmp_path):

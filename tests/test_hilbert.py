@@ -99,9 +99,9 @@ def test_dimension_cap_refusal():
 
 
 def test_dicke_labels_and_multiplicities():
-    assert dicke_multiplicity(4, 2.0) == 1
-    assert dicke_multiplicity(4, 1.0) == 3
-    assert dicke_multiplicity(4, 0.0) == 2
+    assert dicke_multiplicity(4, 0) == 1
+    assert dicke_multiplicity(4, 1) == 3
+    assert dicke_multiplicity(4, 2) == 2
 
 
 def test_symmetric_state_amplitudes():

@@ -221,12 +221,10 @@ def test_j_squared_spectrum_matches_multiplicities(n_atoms):
         eigenvalues.extend(np.linalg.eigvalsh(mat))
     eigenvalues = np.sort(np.array(eigenvalues))
     expected = []
-    j = n_atoms / 2.0
-    while j >= -1e-9:
-        mult = dicke_multiplicity(n_atoms, j)
-        count = round(2 * j + 1) * mult
+    for lo in range(n_atoms // 2 + 1):
+        j = n_atoms / 2.0 - lo
+        count = (n_atoms - 2 * lo + 1) * dicke_multiplicity(n_atoms, lo)
         expected.extend([j * (j + 1)] * count)
-        j -= 1.0
     expected = np.sort(np.array(expected))
     assert eigenvalues.shape == expected.shape
     assert np.max(np.abs(eigenvalues - expected)) < 1e-10

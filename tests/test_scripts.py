@@ -1,4 +1,4 @@
-"""The example scripts run and write what they promise."""
+"""The example scripts and the README's quick API example run and print what they promise."""
 
 import csv
 import json
@@ -14,7 +14,8 @@ from subrad.fields import FieldSpec
 from subrad.model import SystemParams
 from subrad.protocol import plan, run
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *args, cwd):
@@ -81,3 +82,13 @@ def test_photon_tolerance_pair_gives_the_fidelity_of_run():
             pair = script["rung_one_pair"](params, n, t_m)
             expected = run(params, FieldSpec.fock(n)).fidelity_subradiant
             assert abs(script["fidelity"](*pair, phi) - expected) <= 1e-15
+
+
+def test_readme_quick_api_example(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("Quick API example:", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["run"] is run
+    report = namespace["report"]
+    assert capsys.readouterr().out == f"{report.t_m_microseconds} {report.fidelity_subradiant}\n"
