@@ -1,30 +1,23 @@
 #!/usr/bin/env python3
-"""How many photons the slow plan tolerates, from the rung-1 pair of each Fock level.
+"""How many photons the slow plan tolerates, from the fidelity of each Fock level.
 
-Fock component n starts with the control atom excited in block n + 1.  After
-free evolution for t, let x_n be its control-excited amplitude and d_n its
-amplitude on the dark target |D>; put b_n = sqrt((N-1)/N) x_n and
-a_n = d_n - b_n.  The phase gate then leaves the fidelity
-
-    F_n(t, phi) = |a_n + exp(-i phi) b_n|^2,
-
-and a field with photon-number weights p_n has F = sum p_n F_n.  Exciting the
-control atom alone already puts (N-1)/N on |D>, so the protocol helps only
-where 1 - F_n < 1/N.  For each (N, delta/g) the script prints the validity
-parameter v at n = 0 and, at the slow plan's t_m and phi, n*_beat (the
-largest n* with 1 - F_n < 1/N for every n <= n*) and n*_0.99 (the largest n*
-with F_n >= 0.99 for every n <= n*); -1 means that n = 0 already fails.
+F_n is the fidelity of Fock component n after the slow plan's evolution and
+phase gate, as `subrad.protocol.component_outcome` gives it: the kernel that
+`run` sums, so a field with photon-number weights p_n has F = sum p_n F_n.
+Exciting the control atom alone already puts (N-1)/N on |D>, so the protocol
+helps only where 1 - F_n < 1/N.  For each (N, delta/g) the script prints the
+validity parameter v at n = 0 and, at the slow plan's t_m and phi, n*_beat
+(the largest n* with 1 - F_n < 1/N for every n <= n*) and n*_0.99 (the
+largest n* with F_n >= 0.99 for every n <= n*); -1 means that n = 0 already
+fails.
 """
 
 import math
 import sys
 
-import numpy as np
-
-from subrad.dynamics import compile_propagator, evolve, single_excitation_pair
 from subrad.model import SystemParams
 from subrad.perturb import validity_parameter
-from subrad.protocol import plan
+from subrad.protocol import component_outcome, plan
 
 TWO_PI = 2.0 * math.pi
 G_HZ = 10_000.0  # g/2pi; at fixed delta/g every printed column is independent of g
@@ -37,27 +30,12 @@ ROWS = (
 )
 
 
-def rung_one_pair(params: SystemParams, n: int, t: float) -> tuple[complex, complex]:
-    """(a_n, b_n) of Fock component n after free evolution for t."""
-    nn = params.n_atoms
-    block = compile_propagator(params, n + 1, n + 1)
-    psi = np.where(block.rungs == 1, block.control_share, 0.0)
-    s, d = block.rung_one(evolve(block, psi, t))
-    b = math.sqrt((nn - 1) / nn) * single_excitation_pair(nn, s, d)[0]
-    return complex(d - b), complex(b)
-
-
-def fidelity(a: complex, b: complex, phi: float) -> float:
-    """F_n(t, phi) = |a_n + exp(-i phi) b_n|^2."""
-    return abs(a + complex(math.cos(-phi), math.sin(-phi)) * b) ** 2
-
-
 def tolerance(params: SystemParams) -> tuple[int | None, int | None]:
     """n*_beat and n*_0.99 of the slow plan; None where every n <= LIMIT passes."""
     slow = plan(params)
     beat = good = None
     for n in range(LIMIT + 1):
-        f = fidelity(*rung_one_pair(params, n, slow.t_m), slow.phi)
+        f = component_outcome(params, n, 1, n + 1, slow.t_m, slow.phi, 1)[0]
         if beat is None and not 1.0 - f < 1.0 / params.n_atoms:
             beat = n - 1
         if good is None and not f >= 0.99:

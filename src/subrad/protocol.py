@@ -224,14 +224,14 @@ def _start(params: SystemParams, n: int, c: int, n_max: int) -> tuple[Block, np.
 def component_outcome(
     params: SystemParams, n: int, c: int, n_max: int, t_m: float, phi: float, pt_times: int
 ) -> tuple[float, float, float | None, int]:
-    """Fidelity, <J+J->, slow-model error and block size of a component.
+    """Fidelity, <J+J->, slow-model error and block size of Fock component n.
 
-    The component starts as `_start` sets it up, evolves to t_m and takes the
-    phase gate; the slow-model error (None without the control excitation)
-    spans pt_times points of [0, t_m].  The fidelity is also the dark weight:
-    the only dark state on the two ladders is the target |D>.  Memoized per
-    process: callers pass min(n_max, n + c) as the cutoff, since block M is
-    the same for every n_max >= M: none of its rungs holds more than M photons.
+    The per-component kernel that `run` sums and scripts/photon_tolerance.py reads.
+    The component starts as `_start` sets it up, evolves to t_m and takes the phase
+    gate; the slow-model error (None without the control excitation) spans pt_times
+    points of [0, t_m].  The fidelity is also the dark weight: the only dark state on
+    the two ladders is the target |D>.  Memoized per process: callers pass
+    min(n_max, n + c) as the cutoff, since block M is the same for every n_max >= M.
     """
     return _outcome(*_start(params, n, c, n_max), c, t_m, phi, pt_times)
 

@@ -46,6 +46,15 @@ def ratio_params(n_atoms, ratio=100.0):
     return SystemParams.from_detuning_ratio(n_atoms, G, ratio)
 
 
+def field_with_mean(kind, mean_n):
+    """A field of the given kind with mean photon number mean_n (a Fock field rounds it)."""
+    return {
+        "fock": FieldSpec.fock(round(mean_n)),
+        "coherent": FieldSpec.coherent(math.sqrt(mean_n)),
+        "thermal": FieldSpec.thermal(mean_n),
+    }[kind]
+
+
 # -- plan ----------------------------------------------------------------------
 
 
@@ -551,6 +560,23 @@ def test_the_slow_plan_phase_bound_is_the_measured_one():
     assert 5.2e-5 < max(increases) <= 5.5e-5
 
 
+def test_a_plan_for_one_atom_more_or_less_costs_only_at_small_n():
+    # the vacuum slow plan of N0 atoms run on N0 - 1, N0 and N0 + 1 atoms with the same g
+    # and delta (ROADMAP "Measured"); each figure has three digits or two, so 5% holds it
+    def losses(n_atoms, ratio):
+        params = SystemParams.from_detuning_ratio(n_atoms, 2 * math.pi * 1e4, ratio)
+        plan_ = plan(params)
+        actual = (params._replace(n_atoms=nn) for nn in (n_atoms - 1, n_atoms, n_atoms + 1))
+        return [1.0 - component_outcome(p, 0, 1, 1, plan_.t_m, plan_.phi, 1)[0] for p in actual]
+
+    assert losses(10, 100.0) == pytest.approx([1.49e-3, 1.14e-5, 1.19e-3], rel=0.05)
+    assert losses(50, 100.0) == pytest.approx([2.02e-5, 7.8e-6, 1.34e-5], rel=0.05)
+    # from N0 = 200 one atom moves the loss by less than 1% (measured: 0.7% and 0.6%)
+    for n_atoms, ratio in ((200, 300.0), (1000, 1000.0)):
+        fewer, exact, more = losses(n_atoms, ratio)
+        assert fewer == pytest.approx(exact, rel=0.01) and more == pytest.approx(exact, rel=0.01)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     n_atoms=st.integers(2, 200),
@@ -562,11 +588,7 @@ def test_the_slow_plan_phase_bound_is_the_measured_one():
 def test_the_sign_of_the_detuning_is_a_symmetry(n_atoms, ratio, kind, mean_n, branch):
     # H(-delta) = -S H(delta) S with S = (-1)^e on the rungs: a run at -delta is the
     # conjugate of the run at delta, so the gate time is the same and its phase flips
-    field = {
-        "fock": FieldSpec.fock(round(mean_n)),
-        "coherent": FieldSpec.coherent(math.sqrt(mean_n)),
-        "thermal": FieldSpec.thermal(mean_n),
-    }[kind]
+    field = field_with_mean(kind, mean_n)
     options = ProtocolOptions(tm_branch=branch)
     above, below = ratio_params(n_atoms, ratio), ratio_params(n_atoms, -ratio)
     up, down = run(above, field, options), run(below, field, options)
@@ -790,6 +812,47 @@ def test_component_outcome_is_what_the_public_steps_give(
     assert component_outcome.__wrapped__(params, n, c, n_max, t_m, phi, pt_times) == expected
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_atoms=st.integers(2, 40),
+    ratio=st.floats(20.0, 1000.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    kind=st.sampled_from(FIELD_KINDS),
+    mean_n=st.floats(0.0, 3.0),
+    excite=st.booleans(),
+    branch=st.integers(0, 1),
+)
+def test_run_is_the_weighted_sum_of_its_component_outcomes(
+    n_atoms, ratio, sign, kind, mean_n, excite, branch
+):
+    # run sums the per-component kernel over the field's weights, left to right, so the
+    # per-Fock vector F_n certifies every field: F >= (1 - eps) min_{n <= n*} F_n, where
+    # eps is the field's weight above n*
+    params = ratio_params(n_atoms, sign * ratio)
+    field = field_with_mean(kind, mean_n)
+    options = ProtocolOptions(excite_control=excite, tm_branch=branch)
+    plan_ = plan(params, branch)
+    gate = (plan_.t_m, plan_.phi, options.pt_times)
+    n_max, components = subrad.protocol.fock_components(params, field, options)
+    c = 1 if excite else 0
+    outcomes = [
+        (w, n, *component_outcome(params, n, c, min(n_max, n + c), *gate)) for w, n in components
+    ]
+    rep = run(params, field, options)
+    assert rep.fidelity_subradiant == sum(w * fid for w, _, fid, *_ in outcomes)
+    assert rep.emission_expectation == sum(w * jpjm for w, _, _, jpjm, *_ in outcomes)
+    weight = sum(w for w, _ in components)
+    pt_error = sum(w * pt for w, *_, pt, _ in outcomes) / weight if c else None
+    assert rep.pt_coefficient_error == pt_error
+    assert rep.meta["mixture_components"] == [
+        {"weight": w, "n": n, "fidelity_subradiant": fid} for w, n, fid, *_ in outcomes
+    ]
+    lowest, below = 1.0, 0.0  # min F_n and the weight over n <= n*
+    for w, _, fid, *_ in outcomes:
+        lowest, below = min(lowest, fid), below + w
+        assert rep.fidelity_subradiant >= (1.0 - (weight - below)) * lowest
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_atoms=st.integers(2, 12),
@@ -806,11 +869,7 @@ def test_the_protocol_pass_gives_run_and_trajectory(
 ):
     # the protocol command's single pass over the components against the two public calls
     params = ratio_params(n_atoms, sign * ratio)
-    field = {
-        "fock": FieldSpec.fock(round(mean_n)),
-        "coherent": FieldSpec.coherent(math.sqrt(mean_n)),
-        "thermal": FieldSpec.thermal(mean_n),
-    }[kind]
+    field = field_with_mean(kind, mean_n)
     options = ProtocolOptions(excite_control=excite, tm_branch=branch)
     times = dynamics.default_trajectory_times(params, points)
     report, table = subrad.protocol._run(params, field, options, times)

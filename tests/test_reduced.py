@@ -197,6 +197,43 @@ def test_vacuum_component_matches_the_closed_form(n_atoms, ratio, sign, fraction
     assert fid == pytest.approx(vacuum_fidelity(params, t, phi), abs=1e-12 + floor)
 
 
+def rung_one_pair(params, n, t):
+    """(a_n, b_n) of Fock component n after free evolution for t.
+
+    With x_n the control-excited amplitude and d_n the amplitude on |D> of the
+    control-excited start of block n + 1, b_n = sqrt((N-1)/N) x_n and
+    a_n = d_n - b_n; the gate then leaves F_n(t, phi) = |a_n + exp(-i phi) b_n|^2.
+    """
+    nn = params.n_atoms
+    block = dynamics.compile_propagator(params, n + 1, n + 1)
+    psi = np.where(block.rungs == 1, block.control_share, 0.0)
+    s, d = block.rung_one(dynamics.evolve(block, psi, t))
+    b = math.sqrt((nn - 1) / nn) * dynamics.single_excitation_pair(nn, s, d)[0]
+    return complex(d - b), complex(b)
+
+
+@given(
+    n_atoms=st.integers(2, 500),
+    ratio=st.floats(10.0, 3000.0),
+    sign=st.sampled_from([1, -1]),
+    n=st.integers(0, 12),
+    fraction=st.floats(0.0, 2.0),
+    phi=st.floats(-math.pi, math.pi),
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_the_rung_one_pair_gives_the_fidelity_of_each_fock_level(
+    n_atoms, ratio, sign, n, fraction, phi
+):
+    # the gate leaves F_n = |a_n + exp(-i phi) b_n|^2 at every time and phase, so the pair
+    # summarizes every field (measured: at most 1.22e-15 on these 400 cases, 1.55e-15 on
+    # 400 random ones)
+    params = SystemParams.from_detuning_ratio(n_atoms, G, sign * ratio)
+    t = fraction * plan(params).t_m
+    a, b = rung_one_pair(params, n, t)
+    fid = component_outcome(params, n, 1, n + 1, t, phi, 1)[0]
+    assert abs(abs(a + cmath.exp(-1j * phi) * b) ** 2 - fid) <= 4e-15
+
+
 def revival_gate(params):
     """(t_rev, phi_rev): the fast node 2 pi k / omega_f nearest the slow model's t_m, and
     the phase arg(b_0 a_0*) of the vacuum block's rung-one pair there.
@@ -209,11 +246,8 @@ def revival_gate(params):
     alpha_ex = (omega_f - abs(params.delta)) / 4
     theta = math.asin(math.sqrt(nn / (4 * nn - 4)))
     t_rev = 2 * math.pi * round(omega_f * theta / (2 * math.pi * alpha_ex)) / omega_f
-    block = dynamics.compile_propagator(params, 1, 1)
-    psi = np.where(block.rungs == 1, block.control_share, 0.0)
-    s, d = block.rung_one(dynamics.evolve(block, psi, t_rev))
-    b = math.sqrt((nn - 1) / nn) * dynamics.single_excitation_pair(nn, s, d)[0]
-    return t_rev, cmath.phase(b * (d - b).conjugate())
+    a, b = rung_one_pair(params, 0, t_rev)
+    return t_rev, cmath.phase(b * a.conjugate())
 
 
 @pytest.mark.parametrize("coupling", [0.01, 0.04])

@@ -2,17 +2,13 @@
 
 import csv
 import json
-import math
 import os
-import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import subrad
-from subrad.fields import FieldSpec
-from subrad.model import SystemParams
-from subrad.protocol import plan, run
+from subrad.protocol import run
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -69,19 +65,6 @@ def test_photon_tolerance(tmp_path):
     assert [tuple(row) for row in rows[:8]] == measured
     assert max(int(row[0]) for row in rows) == 100_000
     assert list(tmp_path.iterdir()) == []  # prints only
-
-
-def test_photon_tolerance_pair_gives_the_fidelity_of_run():
-    # F_n = |a_n + exp(-i phi) b_n|^2 from the rung-1 pair is what run() reports for Fock n
-    script = runpy.run_path(str(SCRIPTS / "photon_tolerance.py"))
-    for nn, ratio in script["ROWS"][:8]:
-        params = SystemParams.from_detuning_ratio(nn, 2 * math.pi * script["G_HZ"], ratio)
-        plan_ = plan(params)
-        t_m, phi = plan_.t_m, plan_.phi
-        for n in range(4):
-            pair = script["rung_one_pair"](params, n, t_m)
-            expected = run(params, FieldSpec.fock(n)).fidelity_subradiant
-            assert abs(script["fidelity"](*pair, phi) - expected) <= 1e-15
 
 
 def test_readme_quick_api_example(capsys):
