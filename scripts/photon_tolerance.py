@@ -32,10 +32,10 @@ ROWS = (
 
 def tolerance(params: SystemParams) -> tuple[int | None, int | None]:
     """n*_beat and n*_0.99 of the slow plan; None where every n <= LIMIT passes."""
-    slow = plan(params)
+    t_m, phi = plan(params)
     beat = good = None
     for n in range(LIMIT + 1):
-        f = component_outcome(params, n, 1, n + 1, slow.t_m, slow.phi, 1)[0]
+        f = component_outcome(params, n, 1, n + 1, t_m, phi, 1)[0]
         if beat is None and not 1.0 - f < 1.0 / params.n_atoms:
             beat = n - 1
         if good is None and not f >= 0.99:

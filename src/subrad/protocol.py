@@ -45,14 +45,8 @@ class TruncationRefusal(RuntimeError):
     """Initial state puts non-negligible weight on a clipped block."""
 
 
-class ProtocolPlan(FrozenRecord):
-    """Matching time and control-atom phase for one parameter set."""
-
-    __slots__ = ("t_m", "phi")  # seconds; radians, signed
-
-
-def plan(params: SystemParams, branch: int = 0) -> ProtocolPlan:
-    """Pick the branch-th positive matching time and its control phase.
+def plan(params: SystemParams, branch: int = 0) -> tuple[float, float]:
+    """The branch-th positive matching time t_m (s) and its signed control phase phi (rad).
 
     Branch 0 is the smallest positive solution of the matching condition in
     the module docstring; odd branches sit on the descending lobe of the
@@ -71,7 +65,7 @@ def plan(params: SystemParams, branch: int = 0) -> ProtocolPlan:
     sin_phi = math.sqrt(nn * (3.0 * nn - 4.0)) / (2.0 * nn - 2.0)
     sign = 1.0 if params.alpha > 0 else -1.0
     phi = sign * (-1.0 if odd else 1.0) * math.atan2(sin_phi, cos_phi)
-    return ProtocolPlan(t_m=t_m, phi=phi)
+    return t_m, phi
 
 
 def phase_gate(block: Block, psi: np.ndarray, phi: float) -> np.ndarray:
@@ -291,9 +285,9 @@ def _run(
     """`run`'s report and, given a grid of times, the `trajectory` table over it,
     from one compile of each block.  A refused trajectory is raised after the
     report is built, as calling `run`, then `trajectory` would raise it."""
-    plan_ = plan(params, branch=options.tm_branch)
-    phi = plan_.phi if options.phi_override is None else options.phi_override
-    gate = (plan_.t_m, phi, options.pt_times)
+    t_m, phi = plan(params, branch=options.tm_branch)
+    phi = phi if options.phi_override is None else options.phi_override
+    gate = (t_m, phi, options.pt_times)
 
     validity = validity_parameter(params, field.mean_n)
 
@@ -326,8 +320,8 @@ def _run(
         delta_rad_s=params.delta,
         delta_over_2pi_hz=params.delta / (2.0 * math.pi),
         alpha_per_s=params.alpha,
-        t_m_seconds=plan_.t_m,
-        t_m_microseconds=plan_.t_m * 1e6,
+        t_m_seconds=t_m,
+        t_m_microseconds=t_m * 1e6,
         phi_radians=phi,
         tm_branch=options.tm_branch,
         field=field.describe(),

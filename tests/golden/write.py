@@ -30,6 +30,7 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
@@ -55,7 +56,8 @@ def _workloads():
 
 
 def _config(**overrides) -> dict:
-    """N=10 at delta/g = 30 in vacuum with 8 trajectory points, then `overrides`."""
+    """N=10 at delta/g = 30 in vacuum with 8 trajectory points, then `overrides`;
+    an override of None drops its key."""
     cfg = {
         "n_atoms": 10,
         "g_over_2pi_hz": G_HZ,
@@ -235,14 +237,11 @@ def write(name: str, argv: list, cfg: dict | None) -> None:
     (case / "argv.json").write_text(json.dumps(argv) + "\n")
     if cfg is not None:
         (case / "config.json").write_text(json.dumps(cfg, indent=2) + "\n")
-    scratch = GOLDEN / f".{name}.run"
-    shutil.rmtree(scratch, ignore_errors=True)
-    try:
-        code, out, err = run_case(case, scratch)
-        if (scratch / "out").exists():
-            shutil.copytree(scratch / "out", case / "out")
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = Path(tmp) / name
+        code, out, err = run_case(case, cwd)
+        if (cwd / "out").exists():
+            shutil.copytree(cwd / "out", case / "out")
     for result, text in zip(RESULT_FILES, (f"{code}\n", out, err)):
         (case / result).write_text(text)
     print(f"{name}: exit {code}")

@@ -62,7 +62,7 @@ def test_criterion_2_exact_follows_slow_model_within_2_percent():
     params = SystemParams.from_detuning_ratio(10, G, 30.0)
     basis = build_basis(10, FieldSpec.fock(0).required_n_max(10))
     prop = compile_propagator(params, basis, block_ids=[1])
-    t_m = plan(params).t_m
+    t_m, _ = plan(params)
     err = exact_vs_effective_error(prop, 1, np.linspace(0.0, t_m, 201))
     elapsed = time.perf_counter() - t0
     ok = err <= 0.02 and elapsed < 10.0
@@ -77,7 +77,7 @@ def test_criterion_2_exact_follows_slow_model_within_2_percent():
 def test_criterion_3_experimental_estimates():
     t0 = time.perf_counter()
     params = SystemParams.from_detuning_ratio(10, G, 30.0)
-    t_m = plan(params).t_m
+    t_m, _ = plan(params)
     elapsed = time.perf_counter() - t0
     ok = (
         abs(params.alpha - 2.51e4) <= 0.02e4

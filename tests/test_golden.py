@@ -69,13 +69,12 @@ def test_the_cli_call_gives_its_committed_results(tmp_path, name):
     assert f"{code}\n" == (case / "exit_code").read_text()
     assert out == (case / "stdout").read_text()
     assert err == (case / "stderr").read_text()
-    inputs = files(case) - set(RESULT_FILES) - {f for f in files(case) if f.startswith("out/")}
-    written = files(cwd) - inputs
-    expected = files(case / "out") if (case / "out").exists() else set()
-    assert written == {f"out/{f}" for f in expected}
-    for relative in sorted(expected):
-        want = (case / "out" / relative).read_text()
-        got = (cwd / "out" / relative).read_text()
+    # the inputs run_case copied and the files the call wrote
+    expected = files(case) - set(RESULT_FILES)
+    assert files(cwd) == expected
+    for relative in sorted(f for f in expected if f.startswith("out/")):
+        want = (case / relative).read_text()
+        got = (cwd / relative).read_text()
         if relative.endswith(".json"):
             assert_same_json(json.loads(want), json.loads(got), relative)
         elif relative.endswith(".csv"):

@@ -1,5 +1,6 @@
 """Degenerate second-order theory: numerical matrix vs closed forms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from product.perturb import (
     exact_vs_effective_error,
     second_order_matrix,
 )
+from subrad.dynamics import spectrum
 from subrad.fields import FieldSpec
 from subrad.model import SystemParams
 from subrad.perturb import (
@@ -241,3 +243,28 @@ def test_splitting_error_scales_quadratically():
         errors.append(abs(splitting - predicted) / predicted)
     assert errors[0] / errors[1] == pytest.approx((100 / 30) ** 2, rel=0.5)
     assert errors[1] / errors[2] == pytest.approx((300 / 100) ** 2, rel=0.5)
+
+
+def test_each_photon_shifts_the_slow_frequency_by_4g2_over_delta2():
+    # alpha_n = (E_D - E_S) / 2 from the exact levels that connect to rung 1 of block
+    # n + 1 on ladders 0 (|S>) and 1 (|D>): alpha_n / alpha = 1 - x + c x^2 with
+    # x = (N + 4n) g^2 / delta^2.  Measured: c in [0.967, 2.113] on these 346 cases.  Below
+    # x = 1e-3 the rounding of levels that carry omega_c M moves c by up to 0.04.
+    coefficients = []
+    for n_atoms, ratio, sign, n in itertools.product(
+        (2, 3, 5, 10, 20, 50, 200, 1000),
+        (10, 15, 20, 30, 50, 100, 300, 1000),
+        (1, -1),
+        (0, 1, 2, 4, 8, 16, 32, 64),
+    ):
+        x = (n_atoms + 4 * n) / ratio**2
+        if not 1e-3 <= x <= 0.05:
+            continue
+        p = ratio_params(n_atoms, sign * ratio)
+        values, rungs, ladders, _ = spectrum(p, n + 1, n + 1)
+        (e_s,) = values[(rungs == 1) & (ladders == 0)]
+        (e_d,) = values[(rungs == 1) & (ladders == 1)]
+        alpha_n = (e_d - e_s) / 2
+        coefficients.append((alpha_n / p.alpha - (1 - x)) / x**2)
+    assert len(coefficients) == 346
+    assert 0.9 <= min(coefficients) and max(coefficients) <= 2.2

@@ -60,40 +60,42 @@ def field_with_mean(kind, mean_n):
 
 def test_plan_two_atoms():
     p = ratio_params(2)
-    pl = plan(p)
-    assert p.alpha * pl.t_m == pytest.approx(math.pi / 4, abs=1e-12)
-    assert pl.phi == pytest.approx(math.pi / 2, abs=1e-12)
+    pair = plan(p)
+    assert type(pair) is tuple
+    t_m, phi = pair
+    assert p.alpha * t_m == pytest.approx(math.pi / 4, abs=1e-12)
+    assert phi == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_plan_rydberg_point():
     p = SystemParams.from_detuning_ratio(10, G, 30.0)
-    pl = plan(p)
-    assert pl.t_m == pytest.approx(22e-6, abs=0.5e-6)
-    assert math.sin(p.alpha * pl.t_m) == pytest.approx(math.sqrt(10 / 36), abs=1e-12)
+    t_m, _ = plan(p)
+    assert t_m == pytest.approx(22e-6, abs=0.5e-6)
+    assert math.sin(p.alpha * t_m) == pytest.approx(math.sqrt(10 / 36), abs=1e-12)
 
 
 @pytest.mark.parametrize("n_atoms", range(2, 13))
 def test_plan_invariants(n_atoms):
     p = ratio_params(n_atoms)
-    pl = plan(p)
-    assert math.sin(p.alpha * pl.t_m) == pytest.approx(
+    t_m, phi = plan(p)
+    assert math.sin(p.alpha * t_m) == pytest.approx(
         math.sqrt(n_atoms / (4 * n_atoms - 4)), abs=1e-12
     )
-    assert math.cos(pl.phi) == pytest.approx(
+    assert math.cos(phi) == pytest.approx(
         (n_atoms - 2) / (2 * n_atoms - 2), abs=1e-12
     )
-    assert math.sin(pl.phi) == pytest.approx(
+    assert math.sin(phi) == pytest.approx(
         math.sqrt(n_atoms * (3 * n_atoms - 4)) / (2 * (n_atoms - 1)), abs=1e-12
     )
 
 
 def test_plan_branches_ascend():
     p = ratio_params(5)
-    times = [plan(p, branch=b).t_m for b in range(4)]
+    times = [plan(p, branch=b)[0] for b in range(4)]
     assert times == sorted(times)
     assert all(t > 0 for t in times)
     # odd branches sit on the descending lobe and flip the phase sign
-    assert plan(p, branch=1).phi == pytest.approx(-plan(p, branch=0).phi)
+    assert plan(p, branch=1)[1] == pytest.approx(-plan(p, branch=0)[1])
 
 
 def test_plan_rejects_single_atom():
@@ -102,10 +104,10 @@ def test_plan_rejects_single_atom():
 
 
 def test_plan_negative_detuning():
-    pl = plan(ratio_params(4, ratio=-100.0))
-    assert pl.t_m > 0
-    assert pl.phi < 0
-    assert math.cos(pl.phi) == pytest.approx((4 - 2) / (2 * 4 - 2), abs=1e-12)
+    t_m, phi = plan(ratio_params(4, ratio=-100.0))
+    assert t_m > 0
+    assert phi < 0
+    assert math.cos(phi) == pytest.approx((4 - 2) / (2 * 4 - 2), abs=1e-12)
 
 
 # -- phase gate ------------------------------------------------------------------
@@ -136,9 +138,9 @@ def test_phase_gate_unitary_and_targets_control_only():
 def test_gate_maps_slow_model_state_to_target(n_atoms, branch):
     # the commit gate: at t_m the gated slow-model state IS the dark target
     p = ratio_params(n_atoms)
-    pl = plan(p, branch=branch)
-    vec = effective_product_vector(p, pl.t_m)
-    vec[0] *= np.exp(-1j * pl.phi)
+    t_m, phi = plan(p, branch=branch)
+    vec = effective_product_vector(p, t_m)
+    vec[0] *= np.exp(-1j * phi)
     overlap = abs(np.vdot(subradiant_target_vector(n_atoms), vec))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
@@ -496,14 +498,14 @@ def test_the_loss_is_a_cavity_photon_in_vacuum_and_an_absorbed_photon_otherwise(
     shares = {n: [] for n in (0, 1, 4)}
     for n_atoms, ratio in itertools.product((50, 200, 1000), (100.0, 300.0, 1000.0)):
         params = ratio_params(n_atoms, ratio)
-        plan_ = plan(params)
+        t_m, phi = plan(params)
         for n, share in shares.items():
             if perturb.validity_parameter(params, n) >= 0.3:
                 continue
             block = dynamics.compile_propagator(params, n + 1, n + 1)
             psi = np.where(block.rungs == 1, block.control_share, 0.0)
-            evolved = dynamics.evolve(block, psi, plan_.t_m)
-            gated = subrad.protocol.phase_gate(block, evolved, plan_.phi)
+            evolved = dynamics.evolve(block, psi, t_m)
+            gated = subrad.protocol.phase_gate(block, evolved, phi)
             cols = dynamics.readouts(block, gated)
             weights = np.abs(gated) ** 2
             loss = 1.0 - cols[dark]
@@ -524,10 +526,10 @@ def slow_plan_loss(n_atoms, ratio, n, periods=0.0, dphi=0.0):
     """1 - F_n at g/2pi = 10 kHz with the slow plan's gate moved `periods` fast
     periods 2 pi / omega_f late, omega_f = sqrt(delta^2 + 4 N g^2), and `dphi` off its phase."""
     params = SystemParams.from_detuning_ratio(n_atoms, 2 * math.pi * 1e4, ratio)
-    plan_ = plan(params)
+    t_m, phi = plan(params)
     omega_f = math.sqrt(params.delta**2 + 4 * n_atoms * params.g**2)
-    t = plan_.t_m + periods * 2 * math.pi / omega_f
-    return 1.0 - component_outcome(params, n, 1, n + 1, t, plan_.phi + dphi, 1)[0]
+    t = t_m + periods * 2 * math.pi / omega_f
+    return 1.0 - component_outcome(params, n, 1, n + 1, t, phi + dphi, 1)[0]
 
 
 # ROADMAP "Measured": 1 - F_4 of the slow plan with the gate moved by 0, 1%, 3%
@@ -565,9 +567,9 @@ def test_a_plan_for_one_atom_more_or_less_costs_only_at_small_n():
     # and delta (ROADMAP "Measured"); each figure has three digits or two, so 5% holds it
     def losses(n_atoms, ratio):
         params = SystemParams.from_detuning_ratio(n_atoms, 2 * math.pi * 1e4, ratio)
-        plan_ = plan(params)
+        t_m, phi = plan(params)
         actual = (params._replace(n_atoms=nn) for nn in (n_atoms - 1, n_atoms, n_atoms + 1))
-        return [1.0 - component_outcome(p, 0, 1, 1, plan_.t_m, plan_.phi, 1)[0] for p in actual]
+        return [1.0 - component_outcome(p, 0, 1, 1, t_m, phi, 1)[0] for p in actual]
 
     assert losses(10, 100.0) == pytest.approx([1.49e-3, 1.14e-5, 1.19e-3], rel=0.05)
     assert losses(50, 100.0) == pytest.approx([2.02e-5, 7.8e-6, 1.34e-5], rel=0.05)
@@ -657,7 +659,6 @@ VALUE_TYPES = [
     pytest.param(
         lambda: dynamics.compile_propagator(ratio_params(3), 2, 4), "rungs", False, [], id="Block"
     ),
-    pytest.param(lambda: plan(ratio_params(3)), "phi", True, [], id="ProtocolPlan"),
     pytest.param(lambda: ProtocolOptions(n_max=9), "n_max", True, [], id="ProtocolOptions"),
     pytest.param(
         _thermal_report,
@@ -771,9 +772,9 @@ def test_clipped_last_component_same_with_cold_and_warm_cache():
     last = cold.meta["mixture_components"][-1]
     # component n=11 starts in block 12, above the cutoff, with weight below the refusal limit
     assert last["n"] == 11 and 0.0 < last["weight"] <= 1e-8
-    plan_ = plan(params)
-    clipped = component_outcome(params, 11, 1, 11, plan_.t_m, plan_.phi, 101)
-    unclipped = component_outcome(params, 11, 1, 12, plan_.t_m, plan_.phi, 101)
+    t_m, phi = plan(params)
+    clipped = component_outcome(params, 11, 1, 11, t_m, phi, 101)
+    unclipped = component_outcome(params, 11, 1, 12, t_m, phi, 101)
     assert last["fidelity_subradiant"] == clipped[0] != unclipped[0]
     # a run with a higher cutoff caches block 12 unclipped; the clipped run must not reuse it
     run(params, field, ProtocolOptions(n_max=12))
@@ -799,8 +800,7 @@ def test_component_outcome_is_what_the_public_steps_give(
     # one V' psi and one phase scan serve t_m and the slow-model grid; a cutoff n_max = n
     # clips the block n + 1 of an excited control atom
     params = ratio_params(n_atoms, sign * ratio)
-    plan_ = plan(params, branch)
-    t_m, phi = plan_.t_m, plan_.phi
+    t_m, phi = plan(params, branch)
     n_max = n + extra
     block = dynamics.compile_propagator(params, n + c, n_max)
     psi = np.where(block.rungs == c, block.control_share if c else 1.0, 0.0)
@@ -831,8 +831,7 @@ def test_run_is_the_weighted_sum_of_its_component_outcomes(
     params = ratio_params(n_atoms, sign * ratio)
     field = field_with_mean(kind, mean_n)
     options = ProtocolOptions(excite_control=excite, tm_branch=branch)
-    plan_ = plan(params, branch)
-    gate = (plan_.t_m, plan_.phi, options.pt_times)
+    gate = (*plan(params, branch), options.pt_times)
     n_max, components = subrad.protocol.fock_components(params, field, options)
     c = 1 if excite else 0
     outcomes = [
