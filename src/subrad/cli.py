@@ -263,16 +263,15 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
 
     times = default_trajectory_times(params, config.points)
     report, table = _run(params, config.field, config.options, times)
-    payload = {"config": config.raw, "report": report.to_dict()}
     if config.seed is not None:
-        payload["report"]["meta"]["seed"] = config.seed
+        report["meta"]["seed"] = config.seed
     out_dir.mkdir(parents=True, exist_ok=True)
-    serialize.dump_json(payload, out_dir / "report.json")
+    serialize.dump_json({"config": config.raw, "report": report}, out_dir / "report.json")
     serialize.write_table(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, table)
     print(
-        f"t_m = {report.t_m_microseconds:.6g} us, "
-        f"fidelity = {report.fidelity_subradiant:.6f}, "
-        f"dark-subspace weight = {report.dfs_weight:.6f}"
+        f"t_m = {report['t_m_microseconds']:.6g} us, "
+        f"fidelity = {report['fidelity_subradiant']:.6f}, "
+        f"dark-subspace weight = {report['dfs_weight']:.6f}"
     )
     return 0
 
@@ -328,7 +327,7 @@ def _sweep_point(idx: int, axis: str, value: float, config: RunConfig) -> dict:
         report = run(params, point.field, point.options)
         ratio = params.delta / params.g if point.delta_over_g is None else point.delta_over_g
         row.update(
-            {key: getattr(report, key) for key in SWEEP_COLUMNS if key in report.__slots__},
+            {key: report[key] for key in SWEEP_COLUMNS if key in report},
             delta_over_g=ratio,
             g_over_2pi_hz=point.g_over_2pi_hz,
             field_kind=point.field.kind,

@@ -104,59 +104,6 @@ class ProtocolOptions(FrozenRecord):
         )
 
 
-class ProtocolReport(FrozenRecord):
-    """Timings, fidelities, dark-subspace weights and diagnostics for one run.
-
-    The slots are the keys of report.json, in its order.  A report refuses,
-    at construction, metrics out of order; it holds dicts, so it has no hash.
-    """
-
-    __slots__ = (
-        "n_atoms",
-        "g_rad_s",
-        "g_over_2pi_hz",
-        "delta_rad_s",
-        "delta_over_2pi_hz",
-        "alpha_per_s",
-        "t_m_seconds",
-        "t_m_microseconds",
-        "phi_radians",
-        "tm_branch",
-        "field",
-        "fidelity_subradiant",
-        "dfs_weight",
-        "emission_expectation",
-        "validity",
-        "validity_grade",
-        "pt_coefficient_error",
-        "perturbation",
-        "meta",
-    )
-
-    def __init__(self, *, meta: dict | None = None, **fields):
-        super().__init__(meta={} if meta is None else meta, **fields)
-        if not -1e-10 <= self.fidelity_subradiant <= self.dfs_weight + 1e-10 <= 1.0 + 2e-10:
-            raise ValueError(
-                "metric ordering violated: expected 0 <= fidelity <= dfs <= 1, got "
-                f"fidelity={self.fidelity_subradiant}, dfs={self.dfs_weight}"
-            )
-
-    __hash__ = None
-
-    def to_dict(self) -> dict:
-        """The report as a new dict, nested dicts and lists copied."""
-        return _copied(dict(zip(self.__slots__, self._values())))
-
-
-def _copied(value):
-    """`value` with every dict and list in it copied; other values are shared."""
-    if isinstance(value, dict):
-        return {key: _copied(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_copied(item) for item in value]
-    return value
-
-
 def _fit(field: FieldSpec, c: int, n_max: int) -> list | Exception:
     """The field's weights [(p_n, n)] if the cutoff n_max runs them, else the refusal."""
     try:
@@ -264,8 +211,11 @@ def trajectory(
 
 def run(
     params: SystemParams, field: FieldSpec, options: ProtocolOptions | None = None
-) -> ProtocolReport:
+) -> dict:
     """Execute excite -> evolve(t_m) -> phase flip and measure the outcome.
+
+    The result is a new dict: the "report" object of report.json, keys in its
+    order.
 
     The field's Fock components run one excitation block at a time, and
     every metric is their weighted sum; the slow-model error is their
@@ -281,10 +231,10 @@ def run(
 
 def _run(
     params: SystemParams, field: FieldSpec, options: ProtocolOptions, times=None
-) -> tuple[ProtocolReport, np.ndarray | None]:
+) -> tuple[dict, np.ndarray | None]:
     """`run`'s report and, given a grid of times, the `trajectory` table over it,
-    from one compile of each block.  A refused trajectory is raised after the
-    report is built, as calling `run`, then `trajectory` would raise it."""
+    from one compile of each block.  Metrics out of order are refused; a refused
+    trajectory is raised after that, as calling `run`, then `trajectory` would."""
     t_m, phi = plan(params, branch=options.tm_branch)
     phi = phi if options.phi_override is None else options.phi_override
     gate = (t_m, phi, options.pt_times)
@@ -313,25 +263,25 @@ def _run(
     sector_n = int(round(field.mean_n)) + 1  # dominant degenerate level
     delta_e1, delta_ei = closed_form_corrections(params, sector_n)
 
-    report = ProtocolReport(
-        n_atoms=params.n_atoms,
-        g_rad_s=params.g,
-        g_over_2pi_hz=params.g / (2.0 * math.pi),
-        delta_rad_s=params.delta,
-        delta_over_2pi_hz=params.delta / (2.0 * math.pi),
-        alpha_per_s=params.alpha,
-        t_m_seconds=t_m,
-        t_m_microseconds=t_m * 1e6,
-        phi_radians=phi,
-        tm_branch=options.tm_branch,
-        field=field.describe(),
-        fidelity_subradiant=fid_sum,
-        dfs_weight=fid_sum,  # the target is the only dark state the protocol reaches
-        emission_expectation=sum(w * jpjm for w, _, _, jpjm, *_ in outcomes),
-        validity=validity,
-        validity_grade=validity_grade(validity),
-        pt_coefficient_error=pt_error,
-        perturbation={
+    report = {
+        "n_atoms": params.n_atoms,
+        "g_rad_s": params.g,
+        "g_over_2pi_hz": params.g / (2.0 * math.pi),
+        "delta_rad_s": params.delta,
+        "delta_over_2pi_hz": params.delta / (2.0 * math.pi),
+        "alpha_per_s": params.alpha,
+        "t_m_seconds": t_m,
+        "t_m_microseconds": t_m * 1e6,
+        "phi_radians": phi,
+        "tm_branch": options.tm_branch,
+        "field": field.describe(),
+        "fidelity_subradiant": fid_sum,
+        "dfs_weight": fid_sum,  # the target is the only dark state the protocol reaches
+        "emission_expectation": sum(w * jpjm for w, _, _, jpjm, *_ in outcomes),
+        "validity": validity,
+        "validity_grade": validity_grade(validity),
+        "pt_coefficient_error": pt_error,
+        "perturbation": {
             "sector_n": sector_n,
             "delta_e1_rad_s": delta_e1,
             "delta_ei_rad_s": delta_ei,
@@ -339,7 +289,7 @@ def _run(
             "validity": validity,
             "pt_vs_exact_error": pt_error,
         },
-        meta={
+        "meta": {
             "package_version": __version__,
             "n_max": n_max,
             "max_block_dim": max(dim for *_, dim in outcomes),
@@ -347,7 +297,13 @@ def _run(
                 {"weight": w, "n": n, "fidelity_subradiant": fid} for w, n, fid, *_ in outcomes
             ],
         },
-    )
+    }
+    fidelity, dfs = report["fidelity_subradiant"], report["dfs_weight"]
+    if not -1e-10 <= fidelity <= dfs + 1e-10 <= 1.0 + 2e-10:
+        raise ValueError(
+            "metric ordering violated: expected 0 <= fidelity <= dfs <= 1, got "
+            f"fidelity={fidelity}, dfs={dfs}"
+        )
     if refusals:
         raise refusals[0]
     return report, None if times is None else np.column_stack([times, rows])

@@ -195,8 +195,12 @@ def cases() -> dict:
             # at its 400 points the seed-0 trajectory would repeat protocol's byte for byte
             cfg = {"evolve": {"points": 20}, **cfg}
             found[f"{name}_evolve"] = (["evolve", *argv[1:]], cfg)
+    found["evolve_t_final_seconds"] = (
+        _argv("evolve"), _config(evolve={"points": 8, "t_final_seconds": 5e-05}),
+    )
     for name, cfg in SWEEP_CONFIGS.items():
         found[name] = (_argv("sweep"), cfg)
+    found["sweep_jobs_zero"] = (_argv("sweep", "--jobs", "0"), _sweep("N", [2, 3]))
     for name, cfg in SPECTRUM_CONFIGS.items():
         found[name] = (_argv("spectrum"), cfg)
     found["help"] = (["--help"], None)

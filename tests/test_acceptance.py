@@ -99,9 +99,9 @@ def test_criterion_4_end_to_end_fidelity():
     for n_atoms in (2, 5, 10):
         params = SystemParams.from_detuning_ratio(n_atoms, G, 100.0)
         rep = run(params, FieldSpec.fock(0))
-        results.append((n_atoms, 100.0, rep.fidelity_subradiant, 0.995))
+        results.append((n_atoms, 100.0, rep["fidelity_subradiant"], 0.995))
     rep = run(SystemParams.from_detuning_ratio(10, G, 30.0), FieldSpec.fock(0))
-    results.append((10, 30.0, rep.fidelity_subradiant, 0.97))
+    results.append((10, 30.0, rep["fidelity_subradiant"], 0.97))
     elapsed = time.perf_counter() - t0
     ok = all(f >= bound for _, _, f, bound in results) and elapsed < 30.0
     detail = ", ".join(
@@ -114,9 +114,9 @@ def test_criterion_5_field_independence():
     t0 = time.perf_counter()
     params = SystemParams.from_detuning_ratio(10, G, 100.0)
     fidelities = {
-        "fock0": run(params, FieldSpec.fock(0)).fidelity_subradiant,
-        "fock2": run(params, FieldSpec.fock(2)).fidelity_subradiant,
-        "coherent1": run(params, FieldSpec.coherent(1.0)).fidelity_subradiant,
+        "fock0": run(params, FieldSpec.fock(0))["fidelity_subradiant"],
+        "fock2": run(params, FieldSpec.fock(2))["fidelity_subradiant"],
+        "coherent1": run(params, FieldSpec.coherent(1.0))["fidelity_subradiant"],
     }
     spread = max(fidelities.values()) - min(fidelities.values())
     elapsed = time.perf_counter() - t0
@@ -232,11 +232,11 @@ def test_criterion_8_prepared_state_is_subradiant():
         symmetric_state(basis, 0)
     )
     elapsed = time.perf_counter() - t0
-    ok = rep.emission_expectation <= 0.05 and abs(symmetric_emission - 10.0) < 1e-9
+    ok = rep["emission_expectation"] <= 0.05 and abs(symmetric_emission - 10.0) < 1e-9
     report(
         8,
         "prepared state has suppressed emission coupling",
         ok,
-        f"<J+J-> prepared {rep.emission_expectation:.2e} <= 0.05 vs "
+        f"<J+J-> prepared {rep['emission_expectation']:.2e} <= 0.05 vs "
         f"symmetric {symmetric_emission:.1f} = N; runtime {elapsed:.1f}s",
     )

@@ -111,7 +111,7 @@ def test_report_keys_in_the_reference_order():
     path = PERFBENCH / "reference" / "protocol_fock" / "report.json"
     reference = json.loads(path.read_text(encoding="utf-8"))
     config = RunConfig.from_json(reference["config"])
-    report = subrad.protocol.run(config.params(), config.field, config.options).to_dict()
+    report = subrad.protocol.run(config.params(), config.field, config.options)
     assert list(report) == list(reference["report"])
     assert list(report["perturbation"]) == list(reference["report"]["perturbation"])
 

@@ -25,7 +25,7 @@ import subrad.protocol
 from subrad import serialize
 from subrad.cli import RunConfig, cmd_sweep, main
 from subrad.fields import FIELD_KINDS, FieldSpec
-from subrad.protocol import ProtocolOptions, ProtocolReport, component_outcome
+from subrad.protocol import ProtocolOptions, component_outcome
 
 G_HZ = 24000.0
 
@@ -47,10 +47,10 @@ def test_protocol_rydberg_defaults(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
-    report = ProtocolReport(**payload["report"])
-    assert report.t_m_microseconds == pytest.approx(22.0, abs=0.5)
-    assert report.alpha_per_s == pytest.approx(2.51e4, abs=0.02e4)
-    assert report.fidelity_subradiant > 0.97
+    report = payload["report"]
+    assert report["t_m_microseconds"] == pytest.approx(22.0, abs=0.5)
+    assert report["alpha_per_s"] == pytest.approx(2.51e4, abs=0.02e4)
+    assert report["fidelity_subradiant"] > 0.97
     # config echo re-parses into an equal RunConfig
     again = RunConfig.from_json(payload["config"])
     assert again.n_atoms == 10 and again.delta_over_g == 30.0
@@ -1465,7 +1465,7 @@ def test_report_json_parses_to_the_config_and_the_report(tmp_path, overrides):
     text = (tmp_path / "o" / "report.json").read_text(encoding="utf-8")
     payload = json.loads(text, parse_constant=refuse_constant)
     config = RunConfig.from_json(raw)
-    report = subrad.protocol.run(config.params(), config.field, config.options).to_dict()
+    report = subrad.protocol.run(config.params(), config.field, config.options)
     if config.seed is not None:  # the CLI echoes the seed as the last meta key
         report["meta"]["seed"] = config.seed
     assert_same_json(payload, {"config": raw, "report": report})

@@ -126,7 +126,7 @@ def test_gap_identity_all_n(n_atoms):
 def test_alpha_is_bit_identical_across_n():
     p = ratio_params(6)
     # the report's slow rate sits beside the shifts of sector n = round(<n>) + 1
-    alphas = {run(p, FieldSpec.fock(n)).perturbation["alpha_per_s"] for n in range(8)}
+    alphas = {run(p, FieldSpec.fock(n))["perturbation"]["alpha_per_s"] for n in range(8)}
     assert alphas == {p.alpha}  # never reads n
 
 

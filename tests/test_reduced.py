@@ -110,14 +110,14 @@ def test_run_matches_product_engine(case):
     fid, dark, jpjm, pt = product_run(params, field, options, control_index)
     # permutation symmetry keeps the other N-2 dark states empty on the 2^N basis too
     assert dark == pytest.approx(fid, abs=1e-12)
-    floor = rounding_floor(params, field, rep.t_m_seconds)
-    assert rep.fidelity_subradiant == pytest.approx(fid, abs=1e-12 + floor)
-    assert rep.dfs_weight == pytest.approx(dark, abs=1e-12 + floor)
-    assert rep.emission_expectation == pytest.approx(jpjm, abs=1e-12 + params.n_atoms * floor)
+    floor = rounding_floor(params, field, rep["t_m_seconds"])
+    assert rep["fidelity_subradiant"] == pytest.approx(fid, abs=1e-12 + floor)
+    assert rep["dfs_weight"] == pytest.approx(dark, abs=1e-12 + floor)
+    assert rep["emission_expectation"] == pytest.approx(jpjm, abs=1e-12 + params.n_atoms * floor)
     if pt is None:
-        assert rep.pt_coefficient_error is None
+        assert rep["pt_coefficient_error"] is None
     else:
-        assert rep.pt_coefficient_error == pytest.approx(pt, abs=1e-10 + floor)
+        assert rep["pt_coefficient_error"] == pytest.approx(pt, abs=1e-10 + floor)
 
 
 @given(protocol_cases(), st.integers(min_value=1, max_value=150))
@@ -308,7 +308,7 @@ def test_laboratory_frame_run_matches_the_atomic_frame():
     field = FieldSpec.thermal(0.2)
     a, b = run(lab, field), run(atomic, field)
     for key in ("fidelity_subradiant", "dfs_weight", "emission_expectation"):
-        assert getattr(a, key) == pytest.approx(getattr(b, key), abs=1e-12), key
+        assert a[key] == pytest.approx(b[key], abs=1e-12), key
     times = default_trajectory_times(atomic, 50)
     table_lab = trajectory(lab, field, ProtocolOptions(), times)
     table_atomic = trajectory(atomic, field, ProtocolOptions(), times)

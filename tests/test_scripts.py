@@ -74,4 +74,4 @@ def test_readme_quick_api_example(capsys):
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["run"] is run
     report = namespace["report"]
-    assert capsys.readouterr().out == f"{report.t_m_microseconds} {report.fidelity_subradiant}\n"
+    assert capsys.readouterr().out == f"{report['t_m_microseconds']} {report['fidelity_subradiant']}\n"
