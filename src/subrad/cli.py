@@ -31,7 +31,7 @@ from .dynamics import (  # noqa: F401
     spectrum,
 )
 from .fields import FIELD_KINDS, FieldSpec
-from .model import FrozenRecord, SystemParams
+from .model import SystemParams
 from .perturb import closed_form_corrections, validity_parameter, validity_grade
 from .protocol import (
     NoSubradiantSectorError, ProtocolOptions, _run, fock_components, run, trajectory,
@@ -153,95 +153,88 @@ def _sweep(obj: dict, ratio: float | None, field: FieldSpec) -> tuple[str | None
     return axis, values
 
 
-class RunConfig(FrozenRecord):
-    """Parsed run configuration; see README for the JSON schema."""
+def _parse_config(obj: dict) -> dict:
+    """The parsed run config of the JSON object `obj`; see README for the schema.
 
-    __slots__ = (
-        "n_atoms", "g_over_2pi_hz", "delta_over_g", "omega_a_over_2pi_hz",
-        "omega_c_over_2pi_hz", "field", "options", "allow_invalid",
-        "points",  # trajectory samples for protocol and evolve
-        "t_final_seconds",  # evolve span; None = one slow period
-        "spectrum_block",
-        "h0_only",  # spectrum of the free Hamiltonian alone
-        "sweep_axis",  # None when the sweep section has no axis
-        "sweep_values",  # a tuple of floats
-        "seed",  # echoed into report.json; runs are deterministic
-        "raw",  # the JSON config, echoed into report.json
+    Besides the parsed top-level keys (seed is only echoed into report.json),
+    it holds points (trajectory samples for protocol and evolve),
+    t_final_seconds (the evolve span, None for one slow period),
+    spectrum_block, h0_only, sweep_axis (None without one), sweep_values (a
+    tuple of floats) and raw, `obj` itself.  Callers copy it, never mutate it.
+    """
+    _known(obj, TOP_KEYS, "the config")
+    sections = {k: _known(obj.get(k, {}), keys, k) for k, keys in SECTION_KEYS.items()}
+    values = {}
+    for key, parse in (("n_atoms", _integer), ("g_over_2pi_hz", _real)):
+        if key not in obj:
+            raise ConfigError(f"config is missing required key {key!r}")
+        values[key] = parse(obj[key], key)
+    if values["g_over_2pi_hz"] <= 0:
+        raise ConfigError(f"g_over_2pi_hz must be positive, got {values['g_over_2pi_hz']}")
+
+    frame = ("delta_over_g", "omega_a_over_2pi_hz", "omega_c_over_2pi_hz")
+    has_ratio, *has_pair = (obj.get(k) is not None for k in frame)
+    if has_ratio == any(has_pair):
+        raise ConfigError(
+            "supply exactly one of delta_over_g or the "
+            "omega_a_over_2pi_hz/omega_c_over_2pi_hz pair"
+        )
+    if any(has_pair) and not all(has_pair):
+        raise ConfigError("the omega pair needs both omega_a and omega_c")
+    values.update({k: None if obj.get(k) is None else _real(obj[k], k) for k in frame})
+    if any(has_pair) and min(values[k] for k in frame[1:]) <= 0:
+        raise ConfigError("omega_*_over_2pi_hz must be positive")
+
+    values["field"] = _field(obj.get("field", {"kind": "fock", "n": 0}))
+    seed = obj.get("seed")
+    values["seed"] = seed if seed is None else _integer(seed, "seed")
+    options = {}
+    defaults = ProtocolOptions()
+    for name, parse in OPTION_PARSERS.items():
+        default = getattr(defaults, name)
+        value = sections["options"].get(name, default)
+        # an absent option takes its default unparsed, as does null where that is None
+        options[name] = value if value is default else parse(value, f"options.{name}")
+    values["options"] = ProtocolOptions(**options)
+
+    evolve, spectrum = sections["evolve"], sections["spectrum"]
+    values["points"] = _count(evolve.get("points", 400), "evolve.points")
+    if "block" in spectrum:
+        if "photons" in spectrum:
+            raise ConfigError("supply at most one of spectrum.block or spectrum.photons")
+        values["spectrum_block"] = _integer(spectrum["block"], "spectrum.block")
+    else:
+        values["spectrum_block"] = _integer(spectrum.get("photons", 0), "spectrum.photons") + 1
+    values["allow_invalid"] = _boolean(obj.get("allow_invalid", False), "allow_invalid")
+    span = evolve.get("t_final_seconds")
+    values["t_final_seconds"] = span if span is None else _real(span, "evolve.t_final_seconds")
+    values["h0_only"] = _boolean(spectrum.get("h0_only", False), "spectrum.h0_only")
+    values["sweep_axis"], values["sweep_values"] = _sweep(
+        sections["sweep"], values["delta_over_g"], values["field"]
+    )
+    return {**values, "raw": obj}
+
+
+def _params(config: dict) -> SystemParams:
+    """The SystemParams of a parsed config."""
+    g = TWO_PI * config["g_over_2pi_hz"]
+    if config["delta_over_g"] is not None:
+        return SystemParams.from_detuning_ratio(config["n_atoms"], g, config["delta_over_g"])
+    return SystemParams(
+        n_atoms=config["n_atoms"],
+        omega_a=TWO_PI * config["omega_a_over_2pi_hz"],
+        omega_c=TWO_PI * config["omega_c_over_2pi_hz"],
+        g=g,
     )
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "RunConfig":
-        _known(obj, TOP_KEYS, "the config")
-        sections = {k: _known(obj.get(k, {}), keys, k) for k, keys in SECTION_KEYS.items()}
-        values = {}
-        for key, parse in (("n_atoms", _integer), ("g_over_2pi_hz", _real)):
-            if key not in obj:
-                raise ConfigError(f"config is missing required key {key!r}")
-            values[key] = parse(obj[key], key)
-        if values["g_over_2pi_hz"] <= 0:
-            raise ConfigError(f"g_over_2pi_hz must be positive, got {values['g_over_2pi_hz']}")
 
-        frame = ("delta_over_g", "omega_a_over_2pi_hz", "omega_c_over_2pi_hz")
-        has_ratio, *has_pair = (obj.get(k) is not None for k in frame)
-        if has_ratio == any(has_pair):
-            raise ConfigError(
-                "supply exactly one of delta_over_g or the "
-                "omega_a_over_2pi_hz/omega_c_over_2pi_hz pair"
-            )
-        if any(has_pair) and not all(has_pair):
-            raise ConfigError("the omega pair needs both omega_a and omega_c")
-        values.update({k: None if obj.get(k) is None else _real(obj[k], k) for k in frame})
-        if any(has_pair) and min(values[k] for k in frame[1:]) <= 0:
-            raise ConfigError("omega_*_over_2pi_hz must be positive")
-
-        values["field"] = _field(obj.get("field", {"kind": "fock", "n": 0}))
-        seed = obj.get("seed")
-        values["seed"] = seed if seed is None else _integer(seed, "seed")
-        options = {}
-        defaults = ProtocolOptions()
-        for name, parse in OPTION_PARSERS.items():
-            default = getattr(defaults, name)
-            value = sections["options"].get(name, default)
-            # an absent option takes its default unparsed, as does null where that is None
-            options[name] = value if value is default else parse(value, f"options.{name}")
-        values["options"] = ProtocolOptions(**options)
-
-        evolve, spectrum = sections["evolve"], sections["spectrum"]
-        values["points"] = _count(evolve.get("points", 400), "evolve.points")
-        if "block" in spectrum:
-            if "photons" in spectrum:
-                raise ConfigError("supply at most one of spectrum.block or spectrum.photons")
-            values["spectrum_block"] = _integer(spectrum["block"], "spectrum.block")
-        else:
-            values["spectrum_block"] = _integer(spectrum.get("photons", 0), "spectrum.photons") + 1
-        values["allow_invalid"] = _boolean(obj.get("allow_invalid", False), "allow_invalid")
-        span = evolve.get("t_final_seconds")
-        values["t_final_seconds"] = span if span is None else _real(span, "evolve.t_final_seconds")
-        values["h0_only"] = _boolean(spectrum.get("h0_only", False), "spectrum.h0_only")
-        values["sweep_axis"], values["sweep_values"] = _sweep(
-            sections["sweep"], values["delta_over_g"], values["field"]
-        )
-        return cls(**values, raw=obj)
-
-    def params(self) -> SystemParams:
-        g = TWO_PI * self.g_over_2pi_hz
-        if self.delta_over_g is not None:
-            return SystemParams.from_detuning_ratio(self.n_atoms, g, self.delta_over_g)
-        return SystemParams(
-            n_atoms=self.n_atoms,
-            omega_a=TWO_PI * self.omega_a_over_2pi_hz,
-            omega_c=TWO_PI * self.omega_c_over_2pi_hz,
-            g=g,
-        )
-
-
-def _load_config(path: str) -> RunConfig:
+def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return RunConfig.from_json(obj)
+    return _parse_config(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +242,11 @@ def _load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
-    params = config.params()
-    fock_components(params, config.field, config.options)  # a cutoff refusal comes first
-    validity = validity_parameter(params, config.field.mean_n)
-    if validity_grade(validity) == "invalid" and not config.allow_invalid:
+def cmd_protocol(config: dict, out_dir: Path) -> int:
+    params = _params(config)
+    fock_components(params, config["field"], config["options"])  # a cutoff refusal comes first
+    validity = validity_parameter(params, config["field"].mean_n)
+    if validity_grade(validity) == "invalid" and not config["allow_invalid"]:
         print(
             f"refusing: validity parameter {validity:.3f} >= 0.3 "
             "(set allow_invalid to force the run)",
@@ -261,12 +254,12 @@ def cmd_protocol(config: RunConfig, out_dir: Path) -> int:
         )
         return 2
 
-    times = default_trajectory_times(params, config.points)
-    report, table = _run(params, config.field, config.options, times)
-    if config.seed is not None:
-        report["meta"]["seed"] = config.seed
+    times = default_trajectory_times(params, config["points"])
+    report, table = _run(params, config["field"], config["options"], times)
+    if config["seed"] is not None:
+        report["meta"]["seed"] = config["seed"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    serialize.dump_json({"config": config.raw, "report": report}, out_dir / "report.json")
+    serialize.dump_json({"config": config["raw"], "report": report}, out_dir / "report.json")
     serialize.write_table(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, table)
     print(
         f"t_m = {report['t_m_microseconds']:.6g} us, "
@@ -302,47 +295,47 @@ SWEEP_COLUMNS = (
 )
 
 
-def _at(config: RunConfig, axis: str, value: float) -> RunConfig:
+def _at(config: dict, axis: str, value: float) -> dict:
     """The config of the sweep point axis = value, which _sweep has passed."""
     if axis == "N":
-        return config._replace(n_atoms=int(value))
+        return {**config, "n_atoms": int(value)}
     if axis == "delta_ratio":
-        return config._replace(delta_over_g=value)
-    if config.field.kind == "fock":
+        return {**config, "delta_over_g": value}
+    if config["field"].kind == "fock":
         field = FieldSpec.fock(int(value))
-    elif config.field.kind == "thermal":
+    elif config["field"].kind == "thermal":
         field = FieldSpec.thermal(value)
     elif value < 0:  # a negative mean has no amplitude
         raise ValueError(f"a coherent field's mean_n must be >= 0 (got {value})")
     else:
         field = FieldSpec.coherent(complex(math.sqrt(value), 0.0))
-    return config._replace(field=field)
+    return {**config, "field": field}
 
 
-def _sweep_point(idx: int, axis: str, value: float, config: RunConfig) -> dict:
+def _sweep_point(idx: int, axis: str, value: float, config: dict) -> dict:
     row = {"point": idx, "axis": axis, "value": value, "error": ""}
     try:
         point = _at(config, axis, value)
-        params = point.params()
-        report = run(params, point.field, point.options)
-        ratio = params.delta / params.g if point.delta_over_g is None else point.delta_over_g
+        params = _params(point)
+        report = run(params, point["field"], point["options"])
+        ratio = params.delta / params.g if point["delta_over_g"] is None else point["delta_over_g"]
         row.update(
             {key: report[key] for key in SWEEP_COLUMNS if key in report},
             delta_over_g=ratio,
-            g_over_2pi_hz=point.g_over_2pi_hz,
-            field_kind=point.field.kind,
-            field_mean_n=point.field.mean_n,
+            g_over_2pi_hz=point["g_over_2pi_hz"],
+            field_kind=point["field"].kind,
+            field_mean_n=point["field"].mean_n,
         )
     except Exception as exc:  # per-point failures stay in-row
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
-def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
-    axis = config.sweep_axis
-    if axis is None or not config.sweep_values:
+def cmd_sweep(config: dict, out_dir: Path) -> int:
+    axis = config["sweep_axis"]
+    if axis is None or not config["sweep_values"]:
         raise ConfigError('sweep runs need config["sweep"] = {"axis": ..., "values": [...]}')
-    rows = [_sweep_point(i, axis, v, config) for i, v in enumerate(config.sweep_values)]
+    rows = [_sweep_point(i, axis, v, config) for i, v in enumerate(config["sweep_values"])]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     serialize.write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
@@ -369,13 +362,13 @@ SPECTRUM_COLUMNS = (
 )
 
 
-def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
-    params = config.params()
+def cmd_spectrum(config: dict, out_dir: Path) -> int:
+    params = _params(config)
     nn = params.n_atoms
-    sector_n = config.spectrum_block
-    h0_only = config.h0_only
+    sector_n = config["spectrum_block"]
+    h0_only = config["h0_only"]
 
-    n_max = config.options.n_max
+    n_max = config["options"].n_max
     if n_max is None:
         n_max = sector_n + nn + 4
     if not 1 <= sector_n <= nn + n_max:
@@ -435,14 +428,14 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_evolve(config: RunConfig, out_dir: Path) -> int:
-    params = config.params()
-    if config.t_final_seconds is None:
-        times = default_trajectory_times(params, config.points)
+def cmd_evolve(config: dict, out_dir: Path) -> int:
+    params = _params(config)
+    if config["t_final_seconds"] is None:
+        times = default_trajectory_times(params, config["points"])
     else:
-        times = np.linspace(0.0, config.t_final_seconds, config.points)
+        times = np.linspace(0.0, config["t_final_seconds"], config["points"])
 
-    table = trajectory(params, config.field, config.options, times)
+    table = trajectory(params, config["field"], config["options"], times)
     out_dir.mkdir(parents=True, exist_ok=True)
     serialize.write_table(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, table)
     print(f"wrote {len(table)} trajectory samples")
@@ -542,7 +535,7 @@ def main(argv=None) -> int:
         config = _load_config(args["config"])
         seed = args["seed"]
         if seed is not None:
-            config = config._replace(seed=seed, raw={**config.raw, "seed": seed})
+            config = {**config, "seed": seed, "raw": {**config["raw"], "seed": seed}}
         out_dir = Path(args["out"])
         command = args["command"]
         # Overflow and the like are not warned about: every command refuses a

@@ -119,8 +119,7 @@ def slow_model_error(block: Block, psi: np.ndarray, times) -> float:
     s, d = (np.concatenate(column) for column in zip(*(block.rung_one(a) for a in grid)))
     control, other = single_excitation_pair(nn, s, d)
     other = other / sqrt(nn - 1)
-    dark = (nn - 1) * (control - other) / sqrt(nn * (nn - 1))
-    phase = np.divide(np.abs(dark), dark, out=np.ones_like(dark), where=dark != 0)
+    phase = np.divide(np.abs(d), d, out=np.ones_like(d), where=d != 0)
     slow_control, slow_other = slow_amplitudes(block.params, times)
     dev = np.maximum(np.abs(control * phase - slow_control), np.abs(other * phase - slow_other))
     return float(np.max(dev / np.maximum(np.abs(slow_control), np.abs(slow_other))))

@@ -89,7 +89,8 @@ class ProtocolOptions(FrozenRecord):
     """Knobs for protocol.run; the defaults reproduce the standard scheme.
 
     n_max is the Fock cutoff (None selects the conservative rule) and
-    pt_times the grid size of the exact-vs-slow comparison on [0, t_m].
+    pt_times the grid size of the exact-vs-slow comparison on [0, t_m];
+    below 2 no comparison is made.
     """
 
     __slots__ = ("n_max", "tm_branch", "phi_override", "excite_control", "pt_times")
@@ -169,10 +170,11 @@ def component_outcome(
 
     The per-component kernel that `run` sums and scripts/photon_tolerance.py reads.
     The component starts as `_start` sets it up, evolves to t_m and takes the phase
-    gate; the slow-model error (None without the control excitation) spans pt_times
-    points of [0, t_m].  The fidelity is also the dark weight: the only dark state on
-    the two ladders is the target |D>.  Memoized per process: callers pass
-    min(n_max, n + c) as the cutoff, since block M is the same for every n_max >= M.
+    gate; the slow-model error spans pt_times points of [0, t_m], and is None without
+    the control excitation or with fewer than two points, which would check nothing.
+    The fidelity is also the dark weight: the only dark state on the two ladders is
+    the target |D>.  Memoized per process: callers pass min(n_max, n + c) as the
+    cutoff, since block M is the same for every n_max >= M.
     """
     return _outcome(*_start(params, n, c, n_max), c, t_m, phi, pt_times)
 
@@ -183,7 +185,9 @@ def _outcome(block: Block, initial: np.ndarray, c: int, t_m: float, phi: float, 
     # evolve_grid, not evolve: perfbench's measure of evolve binds a `state` that evolve lacks
     (at_t_m,) = evolve_grid(block, initial, [t_m])
     _, _, _, fid, jpjm, _ = readouts(block, phase_gate(block, at_t_m[0], phi))
-    pt_error = slow_model_error(block, initial, np.linspace(0.0, t_m, pt_times)) if c else None
+    pt_error = None
+    if c and pt_times >= 2:
+        pt_error = slow_model_error(block, initial, np.linspace(0.0, t_m, pt_times))
     return float(fid), float(jpjm), pt_error, len(block.rungs)
 
 
@@ -257,8 +261,9 @@ def _run(
         except ValueError as exc:
             refusals.append(exc)
     fid_sum = sum(w * fid for w, _, fid, *_ in outcomes)
-    weight = sum(w for w, _ in components)
-    pt_error = sum(w * pt for w, *_, pt, _ in outcomes) / weight if c else None
+    pt_error = None  # every component makes the slow-model check, or none does
+    if outcomes[0][4] is not None:
+        pt_error = sum(w * pt for w, *_, pt, _ in outcomes) / sum(w for w, _ in components)
 
     sector_n = int(round(field.mean_n)) + 1  # dominant degenerate level
     delta_e1, delta_ei = closed_form_corrections(params, sector_n)

@@ -14,18 +14,18 @@ import math
 import numpy as np
 
 from subrad import serialize
-from subrad.cli import SPECTRUM_COLUMNS, RunConfig
+from subrad.cli import SPECTRUM_COLUMNS, _params
 from subrad.dynamics import spectrum
 from subrad.perturb import closed_form_corrections
 
 
-def spectrum_rows(config: RunConfig) -> list[dict]:
+def spectrum_rows(config: dict) -> list[dict]:
     """The rows of spectrum.csv for an in-range block, one dict per eigenvalue."""
-    params = config.params()
+    params = _params(config)
     nn = params.n_atoms
-    sector_n = config.spectrum_block
-    h0_only = config.h0_only
-    n_max = config.options.n_max
+    sector_n = config["spectrum_block"]
+    h0_only = config["h0_only"]
+    n_max = config["options"].n_max
     if n_max is None:
         n_max = sector_n + nn + 4
 
@@ -71,5 +71,5 @@ def spectrum_rows(config: RunConfig) -> list[dict]:
     return rows
 
 
-def write_spectrum_csv(config: RunConfig, path) -> None:
+def write_spectrum_csv(config: dict, path) -> None:
     serialize.write_csv(path, SPECTRUM_COLUMNS, spectrum_rows(config))

@@ -23,7 +23,7 @@ import subrad
 import subrad.cli
 import subrad.protocol
 from subrad import serialize
-from subrad.cli import RunConfig, cmd_sweep, main
+from subrad.cli import _params, _parse_config, cmd_sweep, main
 from subrad.fields import FIELD_KINDS, FieldSpec
 from subrad.protocol import ProtocolOptions, component_outcome
 
@@ -51,9 +51,9 @@ def test_protocol_rydberg_defaults(tmp_path, capsys):
     assert report["t_m_microseconds"] == pytest.approx(22.0, abs=0.5)
     assert report["alpha_per_s"] == pytest.approx(2.51e4, abs=0.02e4)
     assert report["fidelity_subradiant"] > 0.97
-    # config echo re-parses into an equal RunConfig
-    again = RunConfig.from_json(payload["config"])
-    assert again.n_atoms == 10 and again.delta_over_g == 30.0
+    # config echo re-parses into the same config
+    again = _parse_config(payload["config"])
+    assert again["n_atoms"] == 10 and again["delta_over_g"] == 30.0
     assert (tmp_path / "out" / "trajectory.csv").exists()
 
 
@@ -366,8 +366,8 @@ def test_refused_configs_print_the_usage_then_the_message(
 
 def test_options_take_their_names_and_defaults_from_protocol_options():
     base = {"n_atoms": 3, "g_over_2pi_hz": G_HZ, "delta_over_g": 100.0}
-    assert RunConfig.from_json(base).options == ProtocolOptions()
-    assert RunConfig.from_json({**base, "options": {}}).options == ProtocolOptions()
+    assert _parse_config(base)["options"] == ProtocolOptions()
+    assert _parse_config({**base, "options": {}})["options"] == ProtocolOptions()
     assert subrad.cli.SECTION_KEYS["options"] == set(ProtocolOptions.__slots__)
 
 
@@ -507,7 +507,7 @@ def test_non_boolean_flags_exit_1(tmp_path, capsys, key, value):
 
 
 def test_integral_float_keys_accepted():
-    config = RunConfig.from_json(
+    config = _parse_config(
         {
             "n_atoms": 4.0,
             "g_over_2pi_hz": G_HZ,
@@ -517,10 +517,10 @@ def test_integral_float_keys_accepted():
             "seed": 7.0,
         }
     )
-    assert config.n_atoms == 4 and config.field.n == 1
-    opts = config.options
-    assert (opts.tm_branch, opts.n_max, opts.pt_times, config.seed) == (1, 9, 11, 7)
-    assert all(type(v) is int for v in (config.n_atoms, config.field.n, opts.n_max))
+    assert config["n_atoms"] == 4 and config["field"].n == 1
+    opts = config["options"]
+    assert (opts.tm_branch, opts.n_max, opts.pt_times, config["seed"]) == (1, 9, 11, 7)
+    assert all(type(v) is int for v in (config["n_atoms"], config["field"].n, opts.n_max))
 
 
 def test_omega_pair_config(tmp_path):
@@ -542,6 +542,29 @@ def test_seed_flag_overrides_config(tmp_path):
     ) == 0
     payload = json.loads((tmp_path / "s" / "report.json").read_text())
     assert payload["report"]["meta"]["seed"] == 42
+
+
+def test_the_parsed_config_is_never_mutated(tmp_path, monkeypatch, capsys):
+    # sweep points and --seed build changed copies; the parsed dict and its raw stay as read
+    base = {"n_atoms": 3, "g_over_2pi_hz": G_HZ, "delta_over_g": 100.0, "evolve": {"points": 8}}
+    for axis, values in (("N", [2, 4]), ("delta_ratio", [50, -80]), ("mean_n", [0, 2])):
+        raw = {**base, "sweep": {"axis": axis, "values": values}}
+        config = _parse_config(raw)
+        assert cmd_sweep(config, tmp_path / axis) == 0
+        assert config == _parse_config(json.loads(json.dumps(raw)))
+        assert config["raw"] == raw == json.loads(json.dumps(raw))
+
+    cfg = write_config(tmp_path, **base, seed=1)
+    loaded = []
+    load = subrad.cli._load_config
+    monkeypatch.setattr(subrad.cli, "_load_config", lambda p: loaded.append(load(p)) or loaded[-1])
+    argv = ["protocol", "--config", str(cfg), "--out", str(tmp_path / "s"), "--seed", "42"]
+    assert main(argv) == 0
+    payload = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert payload["config"]["seed"] == payload["report"]["meta"]["seed"] == 42
+    (config,) = loaded
+    assert config == _parse_config(json.loads(cfg.read_text()))
+    assert config["seed"] == config["raw"]["seed"] == 1
 
 
 # -- sweep -------------------------------------------------------------------
@@ -775,7 +798,7 @@ def test_thermal_mean_n_sweep_compiles_each_fock_block_once(tmp_path, monkeypatc
         return compile_propagator(*args)
 
     monkeypatch.setattr(subrad.protocol, "compile_propagator", counted)
-    assert cmd_sweep(RunConfig.from_json(raw), tmp_path / "warm") == 0
+    assert cmd_sweep(_parse_config(raw), tmp_path / "warm") == 0
     assert len(calls) == len(set(levels))
 
     def cold_run(*args):
@@ -784,7 +807,7 @@ def test_thermal_mean_n_sweep_compiles_each_fock_block_once(tmp_path, monkeypatc
 
     monkeypatch.setattr(subrad.cli, "run", cold_run)
     calls.clear()
-    assert cmd_sweep(RunConfig.from_json(raw), tmp_path / "cold") == 0
+    assert cmd_sweep(_parse_config(raw), tmp_path / "cold") == 0
     assert len(calls) == len(levels)
     warm = (tmp_path / "warm" / "sweep.csv").read_bytes()
     assert warm == (tmp_path / "cold" / "sweep.csv").read_bytes()
@@ -797,9 +820,9 @@ def test_each_fock_component_compiles_once(tmp_path, monkeypatch, command):
         tmp_path, n_atoms=5, delta_over_g=60.0, field={"kind": "thermal", "mean_n": 0.6},
         evolve={"points": 57},
     )
-    config = RunConfig.from_json(json.loads(cfg.read_text()))
-    params = config.params()
-    _, components = subrad.protocol.fock_components(params, config.field, config.options)
+    config = _parse_config(json.loads(cfg.read_text()))
+    params = _params(config)
+    _, components = subrad.protocol.fock_components(params, config["field"], config["options"])
     compile_propagator = subrad.protocol.compile_propagator
     blocks = []
 
@@ -811,8 +834,8 @@ def test_each_fock_component_compiles_once(tmp_path, monkeypatch, command):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert len(components) > 5 and blocks == [n + 1 for _, n in components]
     # the rows written are trajectory()'s, bit for bit
-    times = subrad.dynamics.default_trajectory_times(params, config.points)
-    table = subrad.protocol.trajectory(params, config.field, config.options, times)
+    times = subrad.dynamics.default_trajectory_times(params, config["points"])
+    table = subrad.protocol.trajectory(params, config["field"], config["options"], times)
     written = np.loadtxt(tmp_path / "o" / "trajectory.csv", delimiter=",", skiprows=1)
     assert np.array_equal(written, table)
 
@@ -1122,13 +1145,13 @@ def test_the_phase_refusal_names_the_first_time_whatever_the_chunking(
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     # the grid's first time past PHASE_TOL; the one before it passes
-    config = RunConfig.from_json(json.loads(cfg.read_text()))
-    params = config.params()
-    if config.t_final_seconds is None:
-        times = subrad.dynamics.default_trajectory_times(params, config.points)
+    config = _parse_config(json.loads(cfg.read_text()))
+    params = _params(config)
+    if config["t_final_seconds"] is None:
+        times = subrad.dynamics.default_trajectory_times(params, config["points"])
     else:
-        times = np.linspace(0.0, config.t_final_seconds, config.points)
-    n_max, ((_, n),) = subrad.protocol.fock_components(params, config.field, config.options)
+        times = np.linspace(0.0, config["t_final_seconds"], config["points"])
+    n_max, ((_, n),) = subrad.protocol.fock_components(params, config["field"], config["options"])
     block, _ = subrad.protocol._start(params, n, 1, n_max)
     rounding = np.finfo(float).eps * np.max(np.abs(block.eigenvalues)) * times
     i = int(np.argmax(rounding > subrad.dynamics.PHASE_TOL))
@@ -1214,11 +1237,11 @@ def assert_spectrum_matches_oracle(tmp_path, capsys, raw):
     cfg = tmp_path / "spectrum.json"
     cfg.write_text(json.dumps(raw))
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    config = RunConfig.from_json(raw)
+    config = _parse_config(raw)
     spectrum_oracle.write_spectrum_csv(config, tmp_path / "oracle.csv")
     expected = (tmp_path / "oracle.csv").read_bytes()
     rows = expected.count(b"\n") - 1
-    assert capsys.readouterr().out == f"block M={config.spectrum_block}: {rows} eigenvalues written\n"
+    assert capsys.readouterr().out == f"block M={config['spectrum_block']}: {rows} eigenvalues written\n"
     assert (tmp_path / "spectrum.csv").read_bytes() == expected, raw
 
 
@@ -1263,7 +1286,7 @@ def test_rank_labels_match_the_greedy_oracle_at_large_detuning(
     cfg.write_text(json.dumps(raw))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    spectrum_oracle.write_spectrum_csv(RunConfig.from_json(raw), tmp_path / "oracle.csv")
+    spectrum_oracle.write_spectrum_csv(_parse_config(raw), tmp_path / "oracle.csv")
     assert (tmp_path / "spectrum.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes(), raw
 
 
@@ -1464,10 +1487,10 @@ def test_report_json_parses_to_the_config_and_the_report(tmp_path, overrides):
     assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     text = (tmp_path / "o" / "report.json").read_text(encoding="utf-8")
     payload = json.loads(text, parse_constant=refuse_constant)
-    config = RunConfig.from_json(raw)
-    report = subrad.protocol.run(config.params(), config.field, config.options)
-    if config.seed is not None:  # the CLI echoes the seed as the last meta key
-        report["meta"]["seed"] = config.seed
+    config = _parse_config(raw)
+    report = subrad.protocol.run(_params(config), config["field"], config["options"])
+    if config["seed"] is not None:  # the CLI echoes the seed as the last meta key
+        report["meta"]["seed"] = config["seed"]
     assert_same_json(payload, {"config": raw, "report": report})
     # an integral float of the config comes back as a float
     assert type(payload["config"]["g_over_2pi_hz"]) is float

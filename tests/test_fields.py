@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from product.hilbert import coherent_amplitudes
-from subrad.cli import RunConfig
+from subrad.cli import _parse_config
 from subrad.fields import WEIGHT_FLOOR, FieldSpec, TruncationError
 
 
@@ -135,14 +135,14 @@ def test_components_cost_nothing_for_a_higher_cutoff():
 def test_json_round_trips():
     base = {"n_atoms": 3, "g_over_2pi_hz": 1e4, "delta_over_g": 50.0}
     for f in (FieldSpec.fock(2), FieldSpec.coherent(0.3 - 0.4j), FieldSpec.thermal(0.7)):
-        again = RunConfig.from_json({**base, "field": f.describe()}).field
+        again = _parse_config({**base, "field": f.describe()})["field"]
         assert again == f
 
 
 def test_from_json_rejects_unknown_kind():
     base = {"n_atoms": 3, "g_over_2pi_hz": 1e4, "delta_over_g": 50.0}
     with pytest.raises(ValueError, match="kind"):
-        RunConfig.from_json({**base, "field": {"kind": "squeezed"}})
+        _parse_config({**base, "field": {"kind": "squeezed"}})
 
 
 def test_required_n_max_rule():

@@ -26,7 +26,6 @@ from product.perturb import effective_product_vector
 from product.protocol import dfs_weight, phase_gate
 import subrad.protocol
 from subrad import dynamics, perturb
-from subrad.cli import RunConfig
 from subrad.fields import FIELD_KINDS, FieldSpec, TruncationError
 from subrad.model import FrozenRecord, SystemParams
 from subrad.protocol import (
@@ -569,7 +568,10 @@ def test_a_plan_for_one_atom_more_or_less_costs_only_at_small_n():
     def losses(n_atoms, ratio):
         params = SystemParams.from_detuning_ratio(n_atoms, 2 * math.pi * 1e4, ratio)
         t_m, phi = plan(params)
-        actual = (params._replace(n_atoms=nn) for nn in (n_atoms - 1, n_atoms, n_atoms + 1))
+        actual = (
+            SystemParams(nn, params.omega_a, params.omega_c, params.g)
+            for nn in (n_atoms - 1, n_atoms, n_atoms + 1)
+        )
         return [1.0 - component_outcome(p, 0, 1, 1, t_m, phi, 1)[0] for p in actual]
 
     assert losses(10, 100.0) == pytest.approx([1.49e-3, 1.14e-5, 1.19e-3], rel=0.05)
@@ -676,13 +678,6 @@ VALUE_TYPES = [
         lambda: dynamics.compile_propagator(ratio_params(3), 2, 4), "rungs", False, [], id="Block"
     ),
     pytest.param(lambda: ProtocolOptions(n_max=9), "n_max", True, [], id="ProtocolOptions"),
-    pytest.param(
-        lambda: RunConfig.from_json({"n_atoms": 3, "g_over_2pi_hz": 1e4, "delta_over_g": 50.0}),
-        "points",
-        False,
-        [],
-        id="RunConfig",
-    ),
 ]
 
 
@@ -724,11 +719,6 @@ def test_frozen_record_fills_its_fields_by_name():
     for fields in ({}, {"left": 1}, {"left": 1, "right": 2, "middle": 3}, {"left": 1, "rite": 2}):
         with pytest.raises(TypeError, match="_Pair takes exactly the fields left, right"):
             _Pair(**fields)
-    assert pair._replace(right=5) == _Pair(left=1, right=5)
-    with pytest.raises(TypeError, match="_Pair takes exactly the fields left, right"):
-        pair._replace(middle=3)
-    with pytest.raises(ValueError, match="coupling must be positive, got -1.0"):
-        ratio_params(3)._replace(g=-1.0)
 
 
 # -- per-process reuse of component outcomes -------------------------------------
@@ -794,7 +784,9 @@ def test_component_outcome_is_what_the_public_steps_give(
     (at_t_m,) = dynamics.evolve_grid(block, psi, [t_m])
     gated = subrad.protocol.phase_gate(block, at_t_m[0], phi)
     cols = dict(zip(dynamics.TRAJECTORY_COLUMNS[1:], dynamics.readouts(block, gated)))
-    pt_error = perturb.slow_model_error(block, psi, np.linspace(0.0, t_m, pt_times)) if c else None
+    pt_error = None  # without the control excitation or a grid of two points, no check
+    if c and pt_times >= 2:
+        pt_error = perturb.slow_model_error(block, psi, np.linspace(0.0, t_m, pt_times))
     expected = (float(cols["p_subradiant"]), float(cols["jpjm"]), pt_error, len(block.rungs))
     assert component_outcome.__wrapped__(params, n, c, n_max, t_m, phi, pt_times) == expected
 
@@ -886,7 +878,7 @@ def test_the_reported_slow_model_error_comes_from_slow_model_error(monkeypatch):
     assert calls == [7] * len(components)
     assert report["pt_coefficient_error"] == first["pt_coefficient_error"] > 0.0
     calls.clear()
-    dark = options._replace(excite_control=False)
+    dark = ProtocolOptions(pt_times=7, excite_control=False)
     assert run(params, field, dark)["pt_coefficient_error"] is None
     subrad.protocol._run(params, field, dark, times)
     assert calls == []

@@ -68,7 +68,7 @@ def product_run(params, field, options, ci):
         fid += w * marginal_projected_weight(final, target)
         dark += w * dfs_weight(final)
         jpjm += w * collective_operator(initial.basis, "J+J-", block_ids=[m]).expectation(final)
-        if options.excite_control:
+        if options.excite_control and options.pt_times >= 2:  # one point checks nothing
             pt += w * exact_vs_effective_error(prop, m, times, ci)
             pt_weight += w
     return fid, dark, jpjm, (pt / pt_weight if pt_weight else None)
