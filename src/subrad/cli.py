@@ -33,11 +33,12 @@ from .dynamics import (  # noqa: F401
 from .fields import FIELD_KINDS, FieldSpec
 from .model import SystemParams
 from .perturb import closed_form_corrections, validity_parameter, validity_grade
-from .protocol import (
-    NoSubradiantSectorError, ProtocolOptions, _run, fock_components, run, trajectory,
-)
+from .protocol import NoSubradiantSectorError, _run, fock_components, run, trajectory
 
 TWO_PI = 2.0 * math.pi
+# The config's options are run's keyword arguments, under their names and with
+# their defaults; read at import, as a traced run (functools.wraps) has none.
+OPTION_DEFAULTS = dict(run.__kwdefaults__)
 
 
 class ConfigError(ValueError):
@@ -53,7 +54,7 @@ TOP_KEYS = frozenset(
     }
 )
 SECTION_KEYS = {
-    "options": frozenset(ProtocolOptions.__slots__),
+    "options": frozenset(OPTION_DEFAULTS),
     "sweep": frozenset({"axis", "values"}),
     "spectrum": frozenset({"photons", "block", "h0_only"}),
     "evolve": frozenset({"points", "t_final_seconds"}),
@@ -104,8 +105,7 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
-# Each option's parser, in the order a config's options are checked; the
-# option names and defaults are ProtocolOptions' own.
+# Each option's parser, in the order a config's options are checked.
 OPTION_PARSERS = {
     "pt_times": _count, "n_max": _integer, "tm_branch": _integer,
     "phi_override": _real, "excite_control": _boolean,
@@ -156,11 +156,12 @@ def _sweep(obj: dict, ratio: float | None, field: FieldSpec) -> tuple[str | None
 def _parse_config(obj: dict) -> dict:
     """The parsed run config of the JSON object `obj`; see README for the schema.
 
-    Besides the parsed top-level keys (seed is only echoed into report.json),
-    it holds points (trajectory samples for protocol and evolve),
-    t_final_seconds (the evolve span, None for one slow period),
-    spectrum_block, h0_only, sweep_axis (None without one), sweep_values (a
-    tuple of floats) and raw, `obj` itself.  Callers copy it, never mutate it.
+    Besides the parsed top-level keys (options as a dict of run's keyword
+    arguments; seed is only echoed into report.json), it holds points
+    (trajectory samples for protocol and evolve), t_final_seconds (the evolve
+    span, None for one slow period), spectrum_block, h0_only, sweep_axis (None
+    without one), sweep_values (a tuple of floats) and raw, `obj` itself.
+    Callers copy it, never mutate it.
     """
     _known(obj, TOP_KEYS, "the config")
     sections = {k: _known(obj.get(k, {}), keys, k) for k, keys in SECTION_KEYS.items()}
@@ -188,14 +189,12 @@ def _parse_config(obj: dict) -> dict:
     values["field"] = _field(obj.get("field", {"kind": "fock", "n": 0}))
     seed = obj.get("seed")
     values["seed"] = seed if seed is None else _integer(seed, "seed")
-    options = {}
-    defaults = ProtocolOptions()
+    values["options"] = {}
     for name, parse in OPTION_PARSERS.items():
-        default = getattr(defaults, name)
+        default = OPTION_DEFAULTS[name]
         value = sections["options"].get(name, default)
         # an absent option takes its default unparsed, as does null where that is None
-        options[name] = value if value is default else parse(value, f"options.{name}")
-    values["options"] = ProtocolOptions(**options)
+        values["options"][name] = value if value is default else parse(value, f"options.{name}")
 
     evolve, spectrum = sections["evolve"], sections["spectrum"]
     values["points"] = _count(evolve.get("points", 400), "evolve.points")
@@ -244,7 +243,9 @@ def _load_config(path: str) -> dict:
 
 def cmd_protocol(config: dict, out_dir: Path) -> int:
     params = _params(config)
-    fock_components(params, config["field"], config["options"])  # a cutoff refusal comes first
+    options = config["options"]
+    # a cutoff refusal comes first
+    fock_components(params, config["field"], options["n_max"], options["excite_control"])
     validity = validity_parameter(params, config["field"].mean_n)
     if validity_grade(validity) == "invalid" and not config["allow_invalid"]:
         print(
@@ -255,7 +256,7 @@ def cmd_protocol(config: dict, out_dir: Path) -> int:
         return 2
 
     times = default_trajectory_times(params, config["points"])
-    report, table = _run(params, config["field"], config["options"], times)
+    report, table = _run(params, config["field"], times, **options)
     if config["seed"] is not None:
         report["meta"]["seed"] = config["seed"]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -317,7 +318,7 @@ def _sweep_point(idx: int, axis: str, value: float, config: dict) -> dict:
     try:
         point = _at(config, axis, value)
         params = _params(point)
-        report = run(params, point["field"], point["options"])
+        report = run(params, point["field"], **point["options"])
         ratio = params.delta / params.g if point["delta_over_g"] is None else point["delta_over_g"]
         row.update(
             {key: report[key] for key in SWEEP_COLUMNS if key in report},
@@ -368,7 +369,7 @@ def cmd_spectrum(config: dict, out_dir: Path) -> int:
     sector_n = config["spectrum_block"]
     h0_only = config["h0_only"]
 
-    n_max = config["options"].n_max
+    n_max = config["options"]["n_max"]
     if n_max is None:
         n_max = sector_n + nn + 4
     if not 1 <= sector_n <= nn + n_max:
@@ -435,7 +436,8 @@ def cmd_evolve(config: dict, out_dir: Path) -> int:
     else:
         times = np.linspace(0.0, config["t_final_seconds"], config["points"])
 
-    table = trajectory(params, config["field"], config["options"], times)
+    options = config["options"]
+    table = trajectory(params, config["field"], times, options["n_max"], options["excite_control"])
     out_dir.mkdir(parents=True, exist_ok=True)
     serialize.write_table(out_dir / "trajectory.csv", TRAJECTORY_COLUMNS, table)
     print(f"wrote {len(table)} trajectory samples")

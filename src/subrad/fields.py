@@ -93,7 +93,7 @@ class FieldSpec(FrozenRecord):
         elif self.kind == "coherent":
             scale = math.ceil(mean)
         else:
-            scale = self._thermal_weights()[-1][1]
+            scale = self._thermal_top()
         return scale + n_atoms + math.ceil(6.0 * math.sqrt(mean) + 4.0)
 
     def components(self, n_max: int) -> list[tuple[float, int]]:
@@ -112,14 +112,20 @@ class FieldSpec(FrozenRecord):
                 raise TruncationError(f"Fock level {self.n} above the truncation {n_max}")
             return [(1.0, self.n)]
         if self.kind == "thermal":
-            weights = self._thermal_weights()
-            top = weights[-1][1]
+            top = self._thermal_top()
             if top > n_max:
                 raise TruncationError(
                     f"thermal field with mean {self.mean_occupation:.3g} needs "
                     f"n_max >= {top}, got {n_max}"
                 )
-            return weights
+            nbar = self.mean_occupation
+            p, r = 1.0 / (1.0 + nbar), nbar / (1.0 + nbar)
+            weights = []
+            for n in range(top + 1):
+                weights.append((p, n))
+                p *= r
+            total = sum(w for w, _ in weights)
+            return [(w / total, n) for w, n in weights]
         mean = abs(self.amplitude) ** 2
         vacuum = math.exp(-mean / 2.0)
         if vacuum == 0:
@@ -145,20 +151,22 @@ class FieldSpec(FrozenRecord):
         probs = np.abs(c / np.linalg.norm(c)) ** 2
         return [(float(p), n) for n, p in enumerate(probs) if p >= WEIGHT_FLOOR]
 
-    def _thermal_weights(self) -> list[tuple[float, int]]:
+    def _thermal_top(self) -> int:
+        """The last thermal level: the first n whose tail mass r^(n+1), r = nbar / (1 + nbar),
+        is below TAIL_MASS.  The closed form ceil(log(TAIL_MASS) / log(r)) - 1 is stepped to
+        where that test holds as written, since log and ** round apart."""
         nbar = self.mean_occupation
-        if nbar == 0.0:
-            return [(1.0, 0)]
         r = nbar / (1.0 + nbar)
-        weights = []
-        p = 1.0 / (1.0 + nbar)
-        n = 0
-        while True:
-            weights.append((p, n))
-            tail = r ** (n + 1)  # exact remaining mass of the geometric law
-            if tail < TAIL_MASS:
-                break
-            p *= r
+        if r == 0.0:
+            return 0
+        if r == 1.0:
+            raise TruncationError(
+                f"thermal field with mean {nbar:.3g} has no tail below {TAIL_MASS:.0e} "
+                "in double precision"
+            )
+        n = max(0, math.ceil(math.log(TAIL_MASS) / math.log(r)) - 1)
+        while r ** (n + 1) >= TAIL_MASS:
             n += 1
-        total = sum(w for w, _ in weights)
-        return [(w / total, n) for w, n in weights]
+        while n > 0 and r**n < TAIL_MASS:
+            n -= 1
+        return n

@@ -31,7 +31,7 @@ from .dynamics import (  # noqa: F401
     readouts,
 )
 from .fields import FieldSpec, TruncationError
-from .model import FrozenRecord, SystemParams
+from .model import SystemParams
 from .perturb import closed_form_corrections, slow_model_error, validity_grade, validity_parameter
 
 TRUNCATION_WEIGHT_LIMIT = 1e-8
@@ -85,26 +85,6 @@ def phase_gate(block: Block, psi: np.ndarray, phi: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class ProtocolOptions(FrozenRecord):
-    """Knobs for protocol.run; the defaults reproduce the standard scheme.
-
-    n_max is the Fock cutoff (None selects the conservative rule) and
-    pt_times the grid size of the exact-vs-slow comparison on [0, t_m];
-    below 2 no comparison is made.
-    """
-
-    __slots__ = ("n_max", "tm_branch", "phi_override", "excite_control", "pt_times")
-
-    def __init__(
-        self, n_max: int | None = None, tm_branch: int = 0, phi_override: float | None = None,
-        excite_control: bool = True, pt_times: int = 101,
-    ):
-        super().__init__(
-            n_max=n_max, tm_branch=tm_branch, phi_override=phi_override,
-            excite_control=excite_control, pt_times=pt_times,
-        )
-
-
 def _fit(field: FieldSpec, c: int, n_max: int) -> list | Exception:
     """The field's weights [(p_n, n)] if the cutoff n_max runs them, else the refusal."""
     try:
@@ -121,7 +101,7 @@ def _fit(field: FieldSpec, c: int, n_max: int) -> list | Exception:
 
 
 def fock_components(
-    params: SystemParams, field: FieldSpec, options: ProtocolOptions
+    params: SystemParams, field: FieldSpec, n_max: int | None = None, excite_control: bool = True
 ) -> tuple[int, list[tuple[float, int]]]:
     """The Fock cutoff and the field's photon-number weights [(p_n, n)].
 
@@ -135,8 +115,9 @@ def fock_components(
     a mean above about 1490 underflows and fits none), and bisects between
     it and the refused one.
     """
-    n_max = options.n_max if options.n_max is not None else field.required_n_max(params.n_atoms)
-    c = 1 if options.excite_control else 0
+    if n_max is None:
+        n_max = field.required_n_max(params.n_atoms)
+    c = 1 if excite_control else 0
     components = _fit(field, c, n_max)
     if isinstance(components, Exception):
         low, high = n_max, max(n_max, field.required_n_max(params.n_atoms))
@@ -198,7 +179,8 @@ def _rows(block: Block, initial: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def trajectory(
-    params: SystemParams, field: FieldSpec, options: ProtocolOptions, times
+    params: SystemParams, field: FieldSpec, times, n_max: int | None = None,
+    excite_control: bool = True,
 ) -> np.ndarray:
     """(T, 7) table of TRAJECTORY_COLUMNS along exp(-iHt) from the state `run` prepares.
 
@@ -207,19 +189,24 @@ def trajectory(
     kind.  The components' blocks are compiled one at a time.
     """
     times = np.asarray(times, dtype=float)
-    n_max, components = fock_components(params, field, options)
-    c = 1 if options.excite_control else 0
+    n_max, components = fock_components(params, field, n_max, excite_control)
+    c = 1 if excite_control else 0
     total = sum(w * _rows(*_start(params, n, c, n_max), times) for w, n in components)
     return np.column_stack([times, total])
 
 
 def run(
-    params: SystemParams, field: FieldSpec, options: ProtocolOptions | None = None
+    params: SystemParams, field: FieldSpec, *, n_max: int | None = None, tm_branch: int = 0,
+    phi_override: float | None = None, excite_control: bool = True, pt_times: int = 101,
 ) -> dict:
     """Execute excite -> evolve(t_m) -> phase flip and measure the outcome.
 
     The result is a new dict: the "report" object of report.json, keys in its
-    order.
+    order.  The defaults reproduce the standard scheme: n_max is the Fock
+    cutoff (None selects the conservative rule), tm_branch the matching time
+    of `plan`, phi_override a gate phase in place of the planned one, and
+    pt_times the grid size of the exact-vs-slow comparison on [0, t_m];
+    below 2 no comparison is made.
 
     The field's Fock components run one excitation block at a time, and
     every metric is their weighted sum; the slow-model error is their
@@ -230,23 +217,24 @@ def run(
     even outside the dispersive regime; the validity grade in the report
     flags them.
     """
-    return _run(params, field, options or ProtocolOptions())[0]
+    return _run(params, field, None, n_max, tm_branch, phi_override, excite_control, pt_times)[0]
 
 
 def _run(
-    params: SystemParams, field: FieldSpec, options: ProtocolOptions, times=None
+    params: SystemParams, field: FieldSpec, times, n_max: int | None, tm_branch: int,
+    phi_override: float | None, excite_control: bool, pt_times: int,
 ) -> tuple[dict, np.ndarray | None]:
     """`run`'s report and, given a grid of times, the `trajectory` table over it,
     from one compile of each block.  Metrics out of order are refused; a refused
     trajectory is raised after that, as calling `run`, then `trajectory` would."""
-    t_m, phi = plan(params, branch=options.tm_branch)
-    phi = phi if options.phi_override is None else options.phi_override
-    gate = (t_m, phi, options.pt_times)
+    t_m, phi = plan(params, branch=tm_branch)
+    phi = phi if phi_override is None else phi_override
+    gate = (t_m, phi, pt_times)
 
     validity = validity_parameter(params, field.mean_n)
 
-    n_max, components = fock_components(params, field, options)
-    c = 1 if options.excite_control else 0
+    n_max, components = fock_components(params, field, n_max, excite_control)
+    c = 1 if excite_control else 0
     rows = 0.0
     refusals = []
     outcomes = []  # (p_n, n, fidelity, <J+J->, slow-model error, block dimension)
@@ -278,7 +266,7 @@ def _run(
         "t_m_seconds": t_m,
         "t_m_microseconds": t_m * 1e6,
         "phi_radians": phi,
-        "tm_branch": options.tm_branch,
+        "tm_branch": tm_branch,
         "field": field.describe(),
         "fidelity_subradiant": fid_sum,
         "dfs_weight": fid_sum,  # the target is the only dark state the protocol reaches

@@ -25,7 +25,7 @@ def spectrum_rows(config: dict) -> list[dict]:
     nn = params.n_atoms
     sector_n = config["spectrum_block"]
     h0_only = config["h0_only"]
-    n_max = config["options"].n_max
+    n_max = config["options"]["n_max"]
     if n_max is None:
         n_max = sector_n + nn + 4
 

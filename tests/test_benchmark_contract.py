@@ -126,7 +126,7 @@ def test_report_keys_in_the_reference_order():
     path = PERFBENCH / "reference" / "protocol_fock" / "report.json"
     reference = json.loads(path.read_text(encoding="utf-8"))
     config = _parse_config(reference["config"])
-    report = subrad.protocol.run(_params(config), config["field"], config["options"])
+    report = subrad.protocol.run(_params(config), config["field"], **config["options"])
     assert list(report) == list(reference["report"])
     assert list(report["perturbation"]) == list(reference["report"]["perturbation"])
 

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import errno
+import functools
 import gc
 import io
 import itertools
@@ -25,7 +26,7 @@ import subrad.protocol
 from subrad import serialize
 from subrad.cli import _params, _parse_config, cmd_sweep, main
 from subrad.fields import FIELD_KINDS, FieldSpec
-from subrad.protocol import ProtocolOptions, component_outcome
+from subrad.protocol import component_outcome, run
 
 G_HZ = 24000.0
 
@@ -366,9 +367,24 @@ def test_refused_configs_print_the_usage_then_the_message(
 
 def test_options_take_their_names_and_defaults_from_protocol_options():
     base = {"n_atoms": 3, "g_over_2pi_hz": G_HZ, "delta_over_g": 100.0}
-    assert _parse_config(base)["options"] == ProtocolOptions()
-    assert _parse_config({**base, "options": {}})["options"] == ProtocolOptions()
-    assert subrad.cli.SECTION_KEYS["options"] == set(ProtocolOptions.__slots__)
+    assert _parse_config(base)["options"] == run.__kwdefaults__
+    assert _parse_config({**base, "options": {}})["options"] == run.__kwdefaults__
+    assert subrad.cli.SECTION_KEYS["options"] == set(run.__kwdefaults__)
+
+
+def test_a_wrapped_run_does_not_change_config_parsing(monkeypatch):
+    # perfbench's tracer rebinds cli.run to a functools.wraps wrapper, which has no
+    # __kwdefaults__; the option names and defaults were read before that
+    @functools.wraps(run)
+    def traced(*args, **kwargs):
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(subrad.cli, "run", traced)
+    assert traced.__kwdefaults__ is None
+    base = {"n_atoms": 3, "g_over_2pi_hz": G_HZ, "delta_over_g": 100.0}
+    assert _parse_config(base)["options"] == run.__kwdefaults__
+    assert subrad.cli.SECTION_KEYS["options"] == set(subrad.cli.OPTION_PARSERS)
+    assert set(subrad.cli.OPTION_PARSERS) == set(run.__kwdefaults__)
 
 
 @pytest.mark.parametrize(
@@ -519,8 +535,8 @@ def test_integral_float_keys_accepted():
     )
     assert config["n_atoms"] == 4 and config["field"].n == 1
     opts = config["options"]
-    assert (opts.tm_branch, opts.n_max, opts.pt_times, config["seed"]) == (1, 9, 11, 7)
-    assert all(type(v) is int for v in (config["n_atoms"], config["field"].n, opts.n_max))
+    assert (opts["tm_branch"], opts["n_max"], opts["pt_times"], config["seed"]) == (1, 9, 11, 7)
+    assert all(type(v) is int for v in (config["n_atoms"], config["field"].n, opts["n_max"]))
 
 
 def test_omega_pair_config(tmp_path):
@@ -801,9 +817,9 @@ def test_thermal_mean_n_sweep_compiles_each_fock_block_once(tmp_path, monkeypatc
     assert cmd_sweep(_parse_config(raw), tmp_path / "warm") == 0
     assert len(calls) == len(set(levels))
 
-    def cold_run(*args):
+    def cold_run(*args, **options):
         component_outcome.cache_clear()
-        return subrad.protocol.run(*args)
+        return run(*args, **options)
 
     monkeypatch.setattr(subrad.cli, "run", cold_run)
     calls.clear()
@@ -822,7 +838,7 @@ def test_each_fock_component_compiles_once(tmp_path, monkeypatch, command):
     )
     config = _parse_config(json.loads(cfg.read_text()))
     params = _params(config)
-    _, components = subrad.protocol.fock_components(params, config["field"], config["options"])
+    _, components = subrad.protocol.fock_components(params, config["field"])
     compile_propagator = subrad.protocol.compile_propagator
     blocks = []
 
@@ -835,7 +851,7 @@ def test_each_fock_component_compiles_once(tmp_path, monkeypatch, command):
     assert len(components) > 5 and blocks == [n + 1 for _, n in components]
     # the rows written are trajectory()'s, bit for bit
     times = subrad.dynamics.default_trajectory_times(params, config["points"])
-    table = subrad.protocol.trajectory(params, config["field"], config["options"], times)
+    table = subrad.protocol.trajectory(params, config["field"], times)
     written = np.loadtxt(tmp_path / "o" / "trajectory.csv", delimiter=",", skiprows=1)
     assert np.array_equal(written, table)
 
@@ -1151,7 +1167,7 @@ def test_the_phase_refusal_names_the_first_time_whatever_the_chunking(
         times = subrad.dynamics.default_trajectory_times(params, config["points"])
     else:
         times = np.linspace(0.0, config["t_final_seconds"], config["points"])
-    n_max, ((_, n),) = subrad.protocol.fock_components(params, config["field"], config["options"])
+    n_max, ((_, n),) = subrad.protocol.fock_components(params, config["field"])
     block, _ = subrad.protocol._start(params, n, 1, n_max)
     rounding = np.finfo(float).eps * np.max(np.abs(block.eigenvalues)) * times
     i = int(np.argmax(rounding > subrad.dynamics.PHASE_TOL))
@@ -1404,6 +1420,21 @@ def test_evolve_thermal_is_the_weighted_fock_average(tmp_path):
                 assert float(value) == pytest.approx(expected[i, key], abs=1e-12), (i, key)
 
 
+def test_evolve_reads_only_the_options_it_uses(tmp_path):
+    # evolve has no gate and no slow-model check: the matching time, its phase and the
+    # check grid leave its trajectory as it is
+    unused = {"tm_branch": 1, "phi_override": 0.25, "pt_times": 1}
+    written = []
+    for name, options in (("plain", {}), ("unused", unused)):
+        cfg = write_config(
+            tmp_path, name=f"{name}.json", n_atoms=4, delta_over_g=60.0,
+            field={"kind": "thermal", "mean_n": 0.3}, evolve={"points": 20}, options=options,
+        )
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        written.append((tmp_path / name / "trajectory.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_evolve_refuses_clipped_fock_block(tmp_path, capsys):
     # Fock(3) with n_max=3 puts the whole state on the clipped block M=4
     cfg = write_config(
@@ -1488,7 +1519,7 @@ def test_report_json_parses_to_the_config_and_the_report(tmp_path, overrides):
     text = (tmp_path / "o" / "report.json").read_text(encoding="utf-8")
     payload = json.loads(text, parse_constant=refuse_constant)
     config = _parse_config(raw)
-    report = subrad.protocol.run(_params(config), config["field"], config["options"])
+    report = run(_params(config), config["field"], **config["options"])
     if config["seed"] is not None:  # the CLI echoes the seed as the last meta key
         report["meta"]["seed"] = config["seed"]
     assert_same_json(payload, {"config": raw, "report": report})

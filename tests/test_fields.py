@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from product.hilbert import coherent_amplitudes
 from subrad.cli import _parse_config
-from subrad.fields import WEIGHT_FLOOR, FieldSpec, TruncationError
+from subrad.fields import TAIL_MASS, WEIGHT_FLOOR, FieldSpec, TruncationError
 
 
 def mean_photons(components):
@@ -152,6 +152,80 @@ def test_required_n_max_rule():
     f = FieldSpec.thermal(0.5)
     top = max(n for _, n in f.components(10**6))
     assert f.required_n_max(4) == top + 4 + math.ceil(6 * math.sqrt(0.5) + 4)
+
+
+def loop_thermal_weights(nbar):
+    """The thermal weights as a loop grows them, level by level, until r^(n+1) < TAIL_MASS."""
+    if nbar == 0.0:
+        return [(1.0, 0)]
+    r = nbar / (1.0 + nbar)
+    weights = []
+    p = 1.0 / (1.0 + nbar)
+    n = 0
+    while True:
+        weights.append((p, n))
+        if r ** (n + 1) < TAIL_MASS:
+            break
+        p *= r
+        n += 1
+    total = sum(w for w, _ in weights)
+    return [(w / total, n) for w, n in weights]
+
+
+def loop_thermal_top(nbar):
+    """The last level of loop_thermal_weights, by the same test and without the weights."""
+    r = nbar / (1.0 + nbar)
+    n = 0
+    while r ** (n + 1) >= TAIL_MASS:
+        n += 1
+    return n
+
+
+THERMAL_MEANS = [0.0, 1e-300, 1e-12] + [
+    float(m) for m in 10.0 ** np.random.default_rng(0).uniform(-8.0, 4.0, 3000)
+]
+
+
+def level_edge(k):
+    """The 13 floats around the mean at which r^k = TAIL_MASS, where level k - 1 ends the
+    weights; there log and ** round apart, and the bare closed form misses by one level."""
+    r = TAIL_MASS ** (1.0 / k)
+    mean = r / (1.0 - r)
+    return [mean + i * math.ulp(mean) for i in range(-6, 7)]
+
+
+@pytest.mark.parametrize(
+    "means", [THERMAL_MEANS, [m for k in range(1, 400) for m in level_edge(k)]],
+    ids=["log-uniform", "level-edges"],
+)
+def test_thermal_top_is_where_the_loop_stops(means):
+    tops = [FieldSpec.thermal(m)._thermal_top() for m in means]
+    assert tops == [loop_thermal_top(m) for m in means]
+
+
+def test_thermal_weights_are_the_loop_weights_bit_for_bit():
+    for m in [m for m in THERMAL_MEANS if m <= 100.0][:300]:  # 0, 1e-300, 1e-12 come first
+        f = FieldSpec.thermal(m)
+        assert f.components(f.required_n_max(0)) == loop_thermal_weights(m), m
+
+
+def test_a_thermal_cutoff_is_read_without_building_the_weights():
+    # nbar = 1e12 keeps about 1.8e13 levels, which no loop over the levels could name
+    f = FieldSpec.thermal(1e12)
+    r = 1e12 / (1.0 + 1e12)
+    top = f.required_n_max(0) - math.ceil(6 * math.sqrt(1e12) + 4)
+    assert top > 10**13 and r ** (top + 1) < TAIL_MASS <= r**top
+    assert f.required_n_max(4) == top + 4 + math.ceil(6 * math.sqrt(1e12) + 4)
+    with pytest.raises(TruncationError, match=rf"needs n_max >= {top}, got {top - 1}$"):
+        f.components(top - 1)
+
+
+def test_a_thermal_field_whose_ratio_rounds_to_one_is_refused():
+    # nbar / (1 + nbar) rounds to 1.0 at nbar = 1e16: no level ends the geometric tail
+    f = FieldSpec.thermal(1e16)
+    for fits in (lambda: f.required_n_max(3), lambda: f.components(10**18)):
+        with pytest.raises(TruncationError, match="no tail below 1e-08 in double precision"):
+            fits()
 
 
 def test_mean_n_property():

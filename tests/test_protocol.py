@@ -30,7 +30,6 @@ from subrad.fields import FIELD_KINDS, FieldSpec, TruncationError
 from subrad.model import FrozenRecord, SystemParams
 from subrad.protocol import (
     NoSubradiantSectorError,
-    ProtocolOptions,
     TruncationRefusal,
     component_outcome,
     plan,
@@ -43,6 +42,11 @@ G = 2 * math.pi * 24e3
 
 def ratio_params(n_atoms, ratio=100.0):
     return SystemParams.from_detuning_ratio(n_atoms, G, ratio)
+
+
+def protocol_pass(params, field, times, **options):
+    """The protocol command's pass, `_run`, with `run`'s defaults for the options not given."""
+    return subrad.protocol._run(params, field, times, **{**run.__kwdefaults__, **options})
 
 
 def field_with_mean(kind, mean_n):
@@ -192,11 +196,7 @@ def test_run_two_atoms_vacuum():
 
 
 def test_run_ground_atoms_trivially_stationary():
-    rep = run(
-        ratio_params(4),
-        FieldSpec.fock(0),
-        ProtocolOptions(excite_control=False),
-    )
+    rep = run(ratio_params(4), FieldSpec.fock(0), excite_control=False)
     assert rep["fidelity_subradiant"] == pytest.approx(0.0, abs=1e-15)
     assert rep["dfs_weight"] == pytest.approx(0.0, abs=1e-15)
     assert rep["emission_expectation"] == pytest.approx(0.0, abs=1e-15)
@@ -206,7 +206,7 @@ def test_run_ground_atoms_trivially_stationary():
 def test_run_gate_is_load_bearing():
     p = ratio_params(6)
     gated = run(p, FieldSpec.fock(0))
-    ungated = run(p, FieldSpec.fock(0), ProtocolOptions(phi_override=0.0))
+    ungated = run(p, FieldSpec.fock(0), phi_override=0.0)
     assert gated["fidelity_subradiant"] > 0.999
     assert ungated["fidelity_subradiant"] < gated["fidelity_subradiant"] - 0.05
     # without the phase flip the dark weight stays at the free-evolution
@@ -217,7 +217,7 @@ def test_run_gate_is_load_bearing():
 
 
 def test_run_alternate_branch():
-    rep = run(ratio_params(10), FieldSpec.fock(0), ProtocolOptions(tm_branch=1))
+    rep = run(ratio_params(10), FieldSpec.fock(0), tm_branch=1)
     assert rep["fidelity_subradiant"] >= 0.995
 
 
@@ -340,18 +340,18 @@ def test_run_memory_does_not_grow_with_the_default_cutoff(field):
 
 def test_run_truncation_refusal():
     with pytest.raises(TruncationRefusal, match="clipped block"):
-        run(ratio_params(2), FieldSpec.fock(3), ProtocolOptions(n_max=3))
+        run(ratio_params(2), FieldSpec.fock(3), n_max=3)
 
 
 def test_run_thermal_refuses_a_cutoff_below_its_components():
     with pytest.raises(TruncationError, match="n_max"):
-        run(ratio_params(2), FieldSpec.thermal(0.5), ProtocolOptions(n_max=4))
+        run(ratio_params(2), FieldSpec.thermal(0.5), n_max=4)
 
 
-def named_cutoff(params, field, options):
-    """The cutoff that a refusal of `options.n_max` names as the smallest that runs."""
+def named_cutoff(params, field, **options):
+    """The cutoff that a refusal of `options["n_max"]` names as the smallest that runs."""
     with pytest.raises((TruncationError, TruncationRefusal)) as info:
-        run(params, field, options)
+        run(params, field, **options)
     return int(re.search(r"this run needs n_max >= (\d+)$", str(info.value)).group(1))
 
 
@@ -365,10 +365,9 @@ def named_cutoff(params, field, options):
 )
 def test_refusal_names_the_smallest_cutoff_that_runs(field, excite_control):
     params = ratio_params(3)
-    least = named_cutoff(params, field, ProtocolOptions(n_max=-1, excite_control=excite_control))
-    run(params, field, ProtocolOptions(n_max=least, excite_control=excite_control))
-    below = ProtocolOptions(n_max=least - 1, excite_control=excite_control)
-    assert named_cutoff(params, field, below) == least
+    least = named_cutoff(params, field, n_max=-1, excite_control=excite_control)
+    run(params, field, n_max=least, excite_control=excite_control)
+    assert named_cutoff(params, field, n_max=least - 1, excite_control=excite_control) == least
 
 
 def test_thermal_refusal_names_one_above_the_field_cutoff():
@@ -376,10 +375,10 @@ def test_thermal_refusal_names_one_above_the_field_cutoff():
     params, field = ratio_params(3), FieldSpec.thermal(0.3)
     field_refusal = r"needs n_max >= 12, got 6; this run needs n_max >= 13"
     with pytest.raises(TruncationError, match=field_refusal):
-        run(params, field, ProtocolOptions(n_max=6))
+        run(params, field, n_max=6)
     with pytest.raises(TruncationRefusal, match=r"M=13 \(n_max=12\); this run needs n_max >= 13"):
-        run(params, field, ProtocolOptions(n_max=12))
-    assert run(params, field, ProtocolOptions(n_max=13))["meta"]["n_max"] == 13
+        run(params, field, n_max=12)
+    assert run(params, field, n_max=13)["meta"]["n_max"] == 13
 
 
 def test_refusal_of_a_field_that_fits_no_cutoff():
@@ -387,7 +386,7 @@ def test_refusal_of_a_field_that_fits_no_cutoff():
     refusal = r"underflows to 0, so no cutoff can hold the field; no n_max up to \d+ runs it$"
     for n_max in (5, 3000):
         with pytest.raises(TruncationError, match=refusal):
-            run(ratio_params(3), FieldSpec.coherent(40.0), ProtocolOptions(n_max=n_max))
+            run(ratio_params(3), FieldSpec.coherent(40.0), n_max=n_max)
 
 
 def counted_fit(monkeypatch):
@@ -406,7 +405,7 @@ def test_refusal_of_a_field_that_fits_no_cutoff_tries_two_cutoffs(monkeypatch):
     # the default cutoff is tried first; when it fails, no other cutoff is searched
     cutoffs = counted_fit(monkeypatch)
     with pytest.raises(TruncationError, match=r"no n_max up to \d+ runs it$"):
-        run(ratio_params(3), FieldSpec.coherent(40.0), ProtocolOptions(n_max=5))
+        run(ratio_params(3), FieldSpec.coherent(40.0), n_max=5)
     assert cutoffs == [5, FieldSpec.coherent(40.0).required_n_max(3)]
 
 
@@ -417,7 +416,7 @@ def test_cutoff_search_bisects(monkeypatch, n_max):
     top = field.required_n_max(3)
     cutoffs = counted_fit(monkeypatch)
     with pytest.raises((TruncationError, TruncationRefusal), match=r"needs n_max >= 13$"):
-        run(params, field, ProtocolOptions(n_max=n_max))
+        run(params, field, n_max=n_max)
     assert cutoffs[:2] == [n_max, top]
     assert len(cutoffs) <= 2 + math.ceil(math.log2(top - n_max))
 
@@ -434,7 +433,7 @@ def test_grades_are_no_fidelity_floor_beyond_branch_one():
     params = ratio_params(2, ratio=27.46)
     losses = []
     for branch in range(4):
-        rep = run(params, FieldSpec.fock(26), ProtocolOptions(tm_branch=branch))
+        rep = run(params, FieldSpec.fock(26), tm_branch=branch)
         assert rep["validity"] == pytest.approx(0.268, abs=5e-4)
         assert rep["validity_grade"] == "marginal"
         losses.append(1.0 - rep["fidelity_subradiant"])
@@ -448,7 +447,7 @@ def test_an_ok_run_can_lose_to_the_excite_only_baseline():
     params = ratio_params(200, ratio=300.0)
     dark = dynamics.TRAJECTORY_COLUMNS.index("p_subradiant")
     for n in (0, 1):
-        start = trajectory(params, FieldSpec.fock(n), ProtocolOptions(), [0.0])
+        start = trajectory(params, FieldSpec.fock(n), [0.0])
         assert start[0, dark] == pytest.approx(199 / 200, abs=1e-15)
     vacuum, one_photon = (run(params, FieldSpec.fock(n)) for n in (0, 1))
     assert vacuum["validity_grade"] == one_photon["validity_grade"] == "ok"
@@ -469,7 +468,7 @@ def test_the_grades_are_fidelity_floors_on_branches_zero_and_one(n_atoms, ratio,
     # 1 - F <= 4 v^2, so `ok` (v < 0.1) means F >= 0.96 and `marginal` (v < 0.3) F >= 0.64
     params = ratio_params(n_atoms, sign * ratio)
     assume(perturb.validity_parameter(params, n) < 0.3)
-    rep = run(params, FieldSpec.fock(n), ProtocolOptions(tm_branch=branch))
+    rep = run(params, FieldSpec.fock(n), tm_branch=branch)
     assert 1.0 - rep["fidelity_subradiant"] <= 4.0 * rep["validity"]**2
 
 
@@ -594,9 +593,8 @@ def test_the_sign_of_the_detuning_is_a_symmetry(n_atoms, ratio, kind, mean_n, br
     # H(-delta) = -S H(delta) S with S = (-1)^e on the rungs: a run at -delta is the
     # conjugate of the run at delta, so the gate time is the same and its phase flips
     field = field_with_mean(kind, mean_n)
-    options = ProtocolOptions(tm_branch=branch)
     above, below = ratio_params(n_atoms, ratio), ratio_params(n_atoms, -ratio)
-    up, down = run(above, field, options), run(below, field, options)
+    up, down = run(above, field, tm_branch=branch), run(below, field, tm_branch=branch)
     assert up["t_m_seconds"] == down["t_m_seconds"] and up["phi_radians"] == -down["phi_radians"]
     assert up["fidelity_subradiant"] == pytest.approx(down["fidelity_subradiant"], abs=1e-14)
     # <J+J-> reaches about N (1 - F), where 1e-14 is below one ulp
@@ -611,7 +609,7 @@ def test_the_sign_of_the_detuning_is_a_symmetry(n_atoms, ratio, kind, mean_n, br
         tolerance = max(1e-14, floor)
         assert a["fidelity_subradiant"] == pytest.approx(b["fidelity_subradiant"], abs=tolerance)
     times = dynamics.default_trajectory_times(above, 20)
-    populations = [trajectory(p, field, options, times)[:, 1:5] for p in (above, below)]
+    populations = [trajectory(p, field, times)[:, 1:5] for p in (above, below)]
     assert np.max(np.abs(populations[0] - populations[1])) <= 1e-14
 
 
@@ -629,13 +627,13 @@ def test_run_refuses_metrics_out_of_order(monkeypatch, fidelity):
 
 def test_metrics_out_of_order_are_refused_before_the_trajectory(monkeypatch):
     # delta/g = 6e4 at N = 2: the trajectory to 2 t_m fails its phase-rounding check
-    params, field, options = ratio_params(2, 6e4), FieldSpec.fock(0), ProtocolOptions()
+    params, field = ratio_params(2, 6e4), FieldSpec.fock(0)
     times = dynamics.default_trajectory_times(params, 8)
     with pytest.raises(ValueError, match="phase rounding"):
-        subrad.protocol._run(params, field, options, times)
+        protocol_pass(params, field, times)
     monkeypatch.setattr(subrad.protocol, "_outcome", lambda *args: (1.5, 0.0, 0.0, 3))
     with pytest.raises(ValueError, match="metric ordering violated"):
-        subrad.protocol._run(params, field, options, times)
+        protocol_pass(params, field, times)
 
 
 def test_every_run_returns_a_new_report():
@@ -677,7 +675,6 @@ VALUE_TYPES = [
     pytest.param(
         lambda: dynamics.compile_propagator(ratio_params(3), 2, 4), "rungs", False, [], id="Block"
     ),
-    pytest.param(lambda: ProtocolOptions(n_max=9), "n_max", True, [], id="ProtocolOptions"),
 ]
 
 
@@ -744,8 +741,7 @@ def test_block_below_the_cutoff_does_not_depend_on_it(n_atoms, ratio, m_total, e
 
 def test_clipped_last_component_same_with_cold_and_warm_cache():
     params, field = ratio_params(3), FieldSpec.coherent(1.0)
-    options = ProtocolOptions(n_max=11)
-    cold = run(params, field, options)
+    cold = run(params, field, n_max=11)
     last = cold["meta"]["mixture_components"][-1]
     # component n=11 starts in block 12, above the cutoff, with weight below the refusal limit
     assert last["n"] == 11 and 0.0 < last["weight"] <= 1e-8
@@ -754,8 +750,8 @@ def test_clipped_last_component_same_with_cold_and_warm_cache():
     unclipped = component_outcome(params, 11, 1, 12, t_m, phi, 101)
     assert last["fidelity_subradiant"] == clipped[0] != unclipped[0]
     # a run with a higher cutoff caches block 12 unclipped; the clipped run must not reuse it
-    run(params, field, ProtocolOptions(n_max=12))
-    warm = run(params, field, options)
+    run(params, field, n_max=12)
+    warm = run(params, field, n_max=11)
     assert component_outcome.cache_info().currsize == 14
     assert warm == cold
 
@@ -809,14 +805,13 @@ def test_run_is_the_weighted_sum_of_its_component_outcomes(
     # eps is the field's weight above n*
     params = ratio_params(n_atoms, sign * ratio)
     field = field_with_mean(kind, mean_n)
-    options = ProtocolOptions(excite_control=excite, tm_branch=branch)
-    gate = (*plan(params, branch), options.pt_times)
-    n_max, components = subrad.protocol.fock_components(params, field, options)
+    gate = (*plan(params, branch), run.__kwdefaults__["pt_times"])
+    n_max, components = subrad.protocol.fock_components(params, field, excite_control=excite)
     c = 1 if excite else 0
     outcomes = [
         (w, n, *component_outcome(params, n, c, min(n_max, n + c), *gate)) for w, n in components
     ]
-    rep = run(params, field, options)
+    rep = run(params, field, excite_control=excite, tm_branch=branch)
     assert rep["fidelity_subradiant"] == sum(w * fid for w, _, fid, *_ in outcomes)
     assert rep["emission_expectation"] == sum(w * jpjm for w, _, _, jpjm, *_ in outcomes)
     weight = sum(w for w, _ in components)
@@ -848,11 +843,11 @@ def test_the_protocol_pass_gives_run_and_trajectory(
     # the protocol command's single pass over the components against the two public calls
     params = ratio_params(n_atoms, sign * ratio)
     field = field_with_mean(kind, mean_n)
-    options = ProtocolOptions(excite_control=excite, tm_branch=branch)
+    options = dict(excite_control=excite, tm_branch=branch)
     times = dynamics.default_trajectory_times(params, points)
-    report, table = subrad.protocol._run(params, field, options, times)
-    assert report == run(params, field, options)
-    assert np.array_equal(table, trajectory(params, field, options, times))
+    report, table = protocol_pass(params, field, times, **options)
+    assert report == run(params, field, **options)
+    assert np.array_equal(table, trajectory(params, field, times, excite_control=excite))
 
 
 def test_the_reported_slow_model_error_comes_from_slow_model_error(monkeypatch):
@@ -867,18 +862,17 @@ def test_the_reported_slow_model_error_comes_from_slow_model_error(monkeypatch):
     monkeypatch.setattr(subrad.protocol, "slow_model_error", counted)
     params = ratio_params(5)
     field = FieldSpec.thermal(0.4)
-    options = ProtocolOptions(pt_times=7)
-    _, components = subrad.protocol.fock_components(params, field, options)
-    first = run(params, field, options)
-    assert run(params, field, options) == first  # the memo serves the second
+    _, components = subrad.protocol.fock_components(params, field)
+    first = run(params, field, pt_times=7)
+    assert run(params, field, pt_times=7) == first  # the memo serves the second
     assert calls == [7] * len(components) and len(components) > 1
     calls.clear()
     times = dynamics.default_trajectory_times(params, 20)
-    report, _ = subrad.protocol._run(params, field, options, times)
+    report, _ = protocol_pass(params, field, times, pt_times=7)
     assert calls == [7] * len(components)
     assert report["pt_coefficient_error"] == first["pt_coefficient_error"] > 0.0
     calls.clear()
-    dark = ProtocolOptions(pt_times=7, excite_control=False)
-    assert run(params, field, dark)["pt_coefficient_error"] is None
-    subrad.protocol._run(params, field, dark, times)
+    dark = dict(pt_times=7, excite_control=False)
+    assert run(params, field, **dark)["pt_coefficient_error"] is None
+    protocol_pass(params, field, times, **dark)
     assert calls == []

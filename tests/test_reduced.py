@@ -17,15 +17,7 @@ from subrad import dynamics, perturb, protocol
 from subrad.dynamics import TRAJECTORY_COLUMNS, default_trajectory_times
 from subrad.fields import FieldSpec
 from subrad.model import SystemParams
-from subrad.protocol import (
-    ProtocolOptions,
-    _start,
-    component_outcome,
-    fock_components,
-    plan,
-    run,
-    trajectory,
-)
+from subrad.protocol import _start, component_outcome, fock_components, plan, run, trajectory
 
 G = 2 * math.pi * 24e3
 
@@ -44,9 +36,9 @@ def rounding_floor(params, field, t):
 
 def product_components(params, field, options, control_index):
     """(p_n, product state) per Fock component, on one product basis."""
-    n_max, components = fock_components(params, field, options)
+    n_max, components = fock_components(params, field, options["n_max"], options["excite_control"])
     basis = build_basis(params.n_atoms, n_max)
-    code = atom_code(control_index, params.n_atoms) if options.excite_control else 0
+    code = atom_code(control_index, params.n_atoms) if options["excite_control"] else 0
     return [(w, PureState.from_amplitudes(basis, {(code, n): 1.0})) for w, n in components]
 
 
@@ -56,10 +48,10 @@ def product_run(params, field, options, ci):
     The control atom is atom `ci`; by permutation symmetry every choice must
     reproduce `run`, whose control atom has no index.
     """
-    t_m, phi = plan(params, branch=options.tm_branch)
-    phi = phi if options.phi_override is None else options.phi_override
+    t_m, phi = plan(params, branch=options["tm_branch"])
+    phi = phi if options["phi_override"] is None else options["phi_override"]
     target = subradiant_target_vector(params.n_atoms, ci)
-    times = np.linspace(0.0, t_m, options.pt_times)
+    times = np.linspace(0.0, t_m, options["pt_times"])
     fid = dark = jpjm = pt = pt_weight = 0.0
     for w, initial in product_components(params, field, options, ci):
         (m,) = initial.block_amps
@@ -68,7 +60,7 @@ def product_run(params, field, options, ci):
         fid += w * marginal_projected_weight(final, target)
         dark += w * dfs_weight(final)
         jpjm += w * collective_operator(initial.basis, "J+J-", block_ids=[m]).expectation(final)
-        if options.excite_control and options.pt_times >= 2:  # one point checks nothing
+        if options["excite_control"] and options["pt_times"] >= 2:  # one point checks nothing
             pt += w * exact_vs_effective_error(prop, m, times, ci)
             pt_weight += w
     return fid, dark, jpjm, (pt / pt_weight if pt_weight else None)
@@ -91,7 +83,7 @@ def protocol_cases(draw):
     else:
         field = FieldSpec.thermal(draw(st.floats(min_value=0.0, max_value=0.4)))
         small = field.components(field.required_n_max(0))[-1][1] + 1
-    options = ProtocolOptions(
+    options = dict(
         n_max=draw(st.sampled_from([None, small])),
         tm_branch=draw(st.integers(min_value=0, max_value=1)),
         phi_override=draw(st.one_of(st.none(), st.floats(min_value=-math.pi, max_value=math.pi))),
@@ -106,7 +98,7 @@ def protocol_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_run_matches_product_engine(case):
     params, field, options, control_index = case
-    rep = run(params, field, options)
+    rep = run(params, field, **options)
     fid, dark, jpjm, pt = product_run(params, field, options, control_index)
     # permutation symmetry keeps the other N-2 dark states empty on the 2^N basis too
     assert dark == pytest.approx(fid, abs=1e-12)
@@ -125,7 +117,7 @@ def test_run_matches_product_engine(case):
 def test_trajectory_matches_product_engine(case, points):
     params, field, options, _ = case
     times = default_trajectory_times(params, points)
-    table = trajectory(params, field, options, times)
+    table = trajectory(params, field, times, options["n_max"], options["excite_control"])
     # atom 0 is the product readout's control atom
     expected = trajectory_rows(params, product_components(params, field, options, 0), times)
     assert table.shape == (points, len(TRAJECTORY_COLUMNS))
@@ -310,8 +302,8 @@ def test_laboratory_frame_run_matches_the_atomic_frame():
     for key in ("fidelity_subradiant", "dfs_weight", "emission_expectation"):
         assert a[key] == pytest.approx(b[key], abs=1e-12), key
     times = default_trajectory_times(atomic, 50)
-    table_lab = trajectory(lab, field, ProtocolOptions(), times)
-    table_atomic = trajectory(atomic, field, ProtocolOptions(), times)
+    table_lab = trajectory(lab, field, times)
+    table_atomic = trajectory(atomic, field, times)
     assert table_lab.shape == table_atomic.shape == (50, len(TRAJECTORY_COLUMNS))
     for row, ref in zip(table_lab, table_atomic):
         for key, value, expected in zip(TRAJECTORY_COLUMNS, row, ref):
@@ -399,18 +391,18 @@ def test_outputs_do_not_depend_on_the_signs_of_the_eigenvectors(
 def test_a_grid_split_into_chunks_matches_one_product(n_atoms, ratio, sign, n, step, chunks, data):
     # a budget of `step` states (plus slack short of one more) per product, the last chunk ragged
     params = SystemParams.from_detuning_ratio(n_atoms, G, sign * ratio)
-    field, options = FieldSpec.fock(n), ProtocolOptions()
-    n_max, _ = fock_components(params, field, options)
+    field = FieldSpec.fock(n)
+    n_max, _ = fock_components(params, field)
     block, psi = _start(params, n, 1, n_max)
     dim = len(block.rungs)
     budget = step * dim + data.draw(st.integers(0, dim - 1))
     times = default_trajectory_times(params, chunks * step + data.draw(st.integers(1, step - 1)))
     whole = list(dynamics.evolve_grid(block, psi, times))
-    table = trajectory(params, field, options, times)
+    table = trajectory(params, field, times)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "AMPLITUDE_BUDGET", budget)
         parts = list(dynamics.evolve_grid(block, psi, times))
-        chunked_table = trajectory(params, field, options, times)
+        chunked_table = trajectory(params, field, times)
     lengths = [len(part) for part in parts]
     assert len(whole) == 1 and len(parts) == chunks + 1
     assert all(part.size <= budget for part in parts)
@@ -434,16 +426,16 @@ def test_trajectory_rows_do_not_depend_on_the_amplitude_budget(n_atoms, n):
     # cut into full products and a last one of one time, the one shape numpy sends to another
     # kernel; near-equal products leave no product of one time
     params = SystemParams.from_detuning_ratio(n_atoms, G, 40.0)
-    field, options = FieldSpec.fock(n), ProtocolOptions()
-    n_max, _ = fock_components(params, field, options)
+    field = FieldSpec.fock(n)
+    n_max, _ = fock_components(params, field)
     dim = len(_start(params, n, 1, n_max)[0].rungs)
     for points, steps in [(40, (2, 4, 6, 7, 19)), (65, (8, 32, 64)), (129, (8, 64, 128))]:
         times = default_trajectory_times(params, points)
-        table = trajectory(params, field, options, times)
+        table = trajectory(params, field, times)
         for step in steps:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(dynamics, "AMPLITUDE_BUDGET", step * dim + dim - 1)
-                assert np.array_equal(trajectory(params, field, options, times), table), step
+                assert np.array_equal(trajectory(params, field, times), table), step
 
 
 def test_evolve_grid_refuses_a_state_that_is_not_a_number():
